@@ -27,12 +27,14 @@ from .exact_core import (
     sigma,
 )
 from .partner_search import (
+    AngularHistogram,
     EnumerationReport,
-    SearchBound,
     enumerate_lambda,
     find_partners,
+    histogram_to_csv,
     naive_partner_oracle,
     search_radius,
+    stats_anisotropy,
 )
 from .verification import (
     VerificationReport,

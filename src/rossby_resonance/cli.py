@@ -14,25 +14,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .cluster_graph import build_components, clusters_to_json
-from .exact_core import TrivialInteractionError, is_resonant, residual
+from .exact_core import residual
 from .partner_search import (
     EnumerationReport,
+    _dump_line,
+    _triad_record,
     enumerate_lambda,
     find_partners,
+    histogram_to_csv,
     read_triads_jsonl,
     report_from_triads,
     report_to_jsonl,
+    stats_anisotropy,
 )
 from .verification import (
     VerificationReport,
+    _family_triads,
     check_proof_identity,
-    generate_family,
     verify_axis_theorem,
     verify_diophantine_lemma,
 )
@@ -40,50 +42,6 @@ from .verification import (
 _CONFIG_ENV = "ROSSBY_RESONANCE_CONFIG"
 _CONFIG_KEYS = {"jobs": int, "bins": int, "seed": int}
 _DEFAULTS = {"jobs": 1, "bins": 16, "seed": 0}
-
-
-@dataclass
-class AngularHistogram:
-    """Angular occupancy of the resonant set within a box.
-
-    counts bins the members by atan2(n2, n1) over (-pi, pi]; axis_count is
-    the exact number of members with n2 = 0 (an integer test, never a bin
-    boundary artifact) and is zero for every box.
-    """
-
-    bins: int
-    counts: list[int]
-    axis_count: int
-
-
-def stats_anisotropy(report: EnumerationReport, bins: int) -> AngularHistogram:
-    """Histogram the box members of the resonant set by angle.
-
-    bins must be even and at least 4 so that bin edges sit symmetrically
-    around both axes. Angles are floating point for binning only; no verdict
-    depends on them.
-    """
-    if bins < 4 or bins % 2 != 0:
-        raise ValueError("bins must be an even number >= 4")
-    counts = [0] * bins
-    axis_count = 0
-    width = 2.0 * math.pi / bins
-    for m in sorted(report.lambda_members):
-        if m.n2 == 0:
-            axis_count += 1
-        theta = math.atan2(m.n2, m.n1)
-        idx = min(bins - 1, int((theta + math.pi) / width))
-        counts[idx] += 1
-    return AngularHistogram(bins=bins, counts=counts, axis_count=axis_count)
-
-
-def histogram_to_csv(hist: AngularHistogram) -> str:
-    lines = ["bin_center_radians,count"]
-    width = 2.0 * math.pi / hist.bins
-    for i, count in enumerate(hist.counts):
-        center = -math.pi + (i + 0.5) * width
-        lines.append(f"{center!r},{count}")
-    return "\n".join(lines) + "\n"
 
 
 def _load_config(path: str | None) -> dict:
@@ -274,22 +232,9 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    triads = generate_family(args.m_max, args.l_max)
-    lines = [json.dumps({"schema": 1, "m_max": args.m_max, "l_max": args.l_max},
-                        separators=(",", ":"))]
-    index = 0
-    for m in range(1, args.m_max + 1):
-        for l in range(1, args.l_max + 1):
-            if m == l:
-                continue
-            triad = triads[index]
-            index += 1
-            rec = {
-                "triad": [[w.n1, w.n2] for w in triad.members()],
-                "source_n": [m**4, m * l**3],
-                "norms2": [w.norm2() for w in triad.members()],
-            }
-            lines.append(json.dumps(rec, separators=(",", ":")))
+    lines = [_dump_line({"schema": 1, "m_max": args.m_max, "l_max": args.l_max})]
+    for n, triad in _family_triads(args.m_max, args.l_max):
+        lines.append(_dump_line(_triad_record(triad, n)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -308,9 +253,6 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except TrivialInteractionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,16 +14,20 @@ Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
 without affecting the output. Results can be streamed to a JSON Lines cache
 so an interrupted run resumes where it stopped.
+
+The angular histogram of the resonant set lives here too; its binning is the
+package's only floating point, and no verdict depends on it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
-from math import isqrt
+from math import atan2, isqrt, pi
 from multiprocessing import Pool
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator
 
 from .exact_core import (
     ResonantTriad,
@@ -35,12 +39,6 @@ from .exact_core import (
 )
 
 JSONL_SCHEMA = 1
-
-
-class SearchBound(NamedTuple):
-    """Inclusive Euclidean bound on the smaller leg of any decomposition."""
-
-    radius: int
 
 
 @dataclass(frozen=True)
@@ -60,13 +58,28 @@ class EnumerationReport:
     stats: dict = field(compare=False, hash=False, default_factory=dict)
 
 
-def search_radius(n) -> SearchBound:
-    """ceil(2 |n|^2 / |n1|), valid for either leg of minimal norm."""
+def search_radius(n) -> int:
+    """ceil(2 |n|^2 / |n1|): inclusive Euclidean bound on the smaller leg of
+    any decomposition of n."""
     n1, n2 = n
     if n1 == 0:
-        raise ValueError("search radius requires a nonzero zonal component")
+        raise ValueError("partner search requires a nonzero zonal component")
     b = n1 * n1 + n2 * n2
-    return SearchBound(-((-2 * b) // abs(n1)))
+    return -((-2 * b) // abs(n1))
+
+
+def _disk_columns(n) -> Iterator[tuple[int, int]]:
+    """Admissible columns (x, ymax) of the search disk of n.
+
+    The disk is x^2 + y^2 <= search_radius(n)^2, which rejects n1 = 0; the
+    columns x = 0 and x = n1 are trivial interactions and are skipped.
+    """
+    n1 = n[0]
+    radius = search_radius(n)
+    r2 = radius * radius
+    for x in range(-radius, radius + 1):
+        if x != 0 and x != n1:
+            yield x, isqrt(r2 - x * x)
 
 
 def find_partners(n) -> list[Wavenumber]:
@@ -78,17 +91,9 @@ def find_partners(n) -> list[Wavenumber]:
     confirmed with is_resonant before being accepted.
     """
     n1, n2 = n
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
-    radius = search_radius(n).radius
-    r2 = radius * radius
     found: set[Wavenumber] = set()
-    for x in range(-radius, radius + 1):
-        if x == 0 or x == n1:
-            continue
-        ymax = isqrt(r2 - x * x)
-        poly = quartic_coeffs((n1, n2), x)
-        for y in integer_roots(poly, ymax):
+    for x, ymax in _disk_columns(n):
+        for y in integer_roots(quartic_coeffs((n1, n2), x), ymax):
             if is_resonant((n1, n2), (x, y)):
                 found.add(Wavenumber(x, y))
                 found.add(Wavenumber(n1 - x, n2 - y))
@@ -102,15 +107,8 @@ def naive_partner_oracle(n) -> list[Wavenumber]:
     is validated against.
     """
     n1, n2 = n
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
-    radius = search_radius(n).radius
-    r2 = radius * radius
     found: set[Wavenumber] = set()
-    for x in range(-radius, radius + 1):
-        if x == 0 or x == n1:
-            continue
-        ymax = isqrt(r2 - x * x)
+    for x, ymax in _disk_columns(n):
         for y in range(-ymax, ymax + 1):
             if is_resonant((n1, n2), (x, y)):
                 found.add(Wavenumber(x, y))
@@ -128,13 +126,9 @@ def _quadrant_points(max_norm: int) -> list[Wavenumber]:
     return points
 
 
-def _triads_for(n: Wavenumber) -> list[ResonantTriad]:
-    """Canonical triads of all decompositions of n, sorted."""
-    return sorted({canonical_triad(n, k) for k in find_partners(n)})
-
-
 def _worker(n: Wavenumber) -> tuple[Wavenumber, list[ResonantTriad]]:
-    return n, _triads_for(n)
+    """n with the canonical triads of all its decompositions, sorted."""
+    return n, sorted({canonical_triad(n, k) for k in find_partners(n)})
 
 
 def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
@@ -153,32 +147,43 @@ def _header(max_norm: int) -> dict:
     return {"schema": JSONL_SCHEMA, "max_norm": max_norm, "quadrant": True}
 
 
-def _read_cache(path, max_norm: int) -> dict[Wavenumber, list[ResonantTriad]]:
-    """Completed per-source triads from a cache file; {} when absent.
+def _cache_header(max_norm: int) -> dict:
+    """The result header marked so that no reader takes a cache for a result."""
+    return {**_header(max_norm), "kind": "cache"}
+
+
+def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTriad]], int]:
+    """Completed per-source triads from a cache file, and the byte offset
+    just after the last complete done_upto line; ({}, 0) when absent.
 
     Only sources acknowledged by a done_upto marker count as complete;
     records after the last marker belong to an interrupted source and are
-    recomputed. A truncated trailing line is ignored.
+    recomputed. A line without its newline was cut mid-write and ends the
+    read, as does a line that is not JSON.
     """
     done: dict[Wavenumber, list[ResonantTriad]] = {}
     pending: dict[Wavenumber, list[ResonantTriad]] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
-        return {}
+        return {}, 0
     with fh:
         first = fh.readline()
         if not first:
-            return {}
+            return {}, 0
         try:
             header = json.loads(first)
         except json.JSONDecodeError:
             raise ValueError(f"cache file {path} has a corrupt header line")
-        if header != _header(max_norm):
+        if header != _cache_header(max_norm):
             raise ValueError(
                 f"cache file {path} was written for different parameters: {header}"
             )
+        offset = end = len(first)
         for line in fh:
+            end += len(line)
+            if not line.endswith(b"\n"):
+                break
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
@@ -186,11 +191,12 @@ def _read_cache(path, max_norm: int) -> dict[Wavenumber, list[ResonantTriad]]:
             if "done_upto" in rec:
                 n = Wavenumber(*rec["done_upto"])
                 done[n] = pending.pop(n, [])
+                offset = end
             elif "triad" in rec:
                 triad = ResonantTriad.from_members(*rec["triad"])
                 source = Wavenumber(*rec["source_n"])
                 pending.setdefault(source, []).append(triad)
-    return done
+    return done, offset
 
 
 def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> EnumerationReport:
@@ -208,15 +214,18 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
 
     t0 = time.perf_counter()
     points = _quadrant_points(max_norm)
-    cached = _read_cache(cache_path, max_norm) if cache_path else {}
+    cached, keep = _read_cache(cache_path, max_norm) if cache_path else ({}, 0)
     pending = [n for n in points if n not in cached]
 
     writer: IO[str] | None = None
     if cache_path is not None:
-        new_file = not cached
-        writer = open(cache_path, "a" if not new_file else "w", encoding="utf-8")
-        if new_file:
-            writer.write(_dump_line(_header(max_norm)) + "\n")
+        if keep:
+            # drop the interrupted tail so appended lines start on a fresh line
+            os.truncate(cache_path, keep)
+            writer = open(cache_path, "a", encoding="utf-8")
+        else:
+            writer = open(cache_path, "w", encoding="utf-8")
+            writer.write(_dump_line(_cache_header(max_norm)) + "\n")
             writer.flush()
 
     per_source: dict[Wavenumber, list[ResonantTriad]] = dict(cached)
@@ -304,23 +313,28 @@ def report_to_jsonl(report: EnumerationReport) -> str:
 
 
 def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]:
-    """Parse a JSONL triad stream: (header, triads). Unknown records are skipped."""
-    header: dict = {}
+    """Parse a JSONL triad stream: (header, triads). Unknown records are skipped.
+
+    The header is the first non-blank line if it has a schema. A cache file
+    is rejected: its unexpanded source triads would read as a wrong result.
+    """
+    header: dict | None = None
     triads: list[ResonantTriad] = []
-    for i, line in enumerate(stream):
+    for i, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {i + 1}: not valid JSON: {exc}") from exc
-        if i == 0 and "schema" in rec and "triad" not in rec:
-            header = rec
-            continue
+            raise ValueError(f"line {i}: not valid JSON: {exc}") from exc
+        if header is None:
+            header = rec if "schema" in rec and "triad" not in rec else {}
+            if header.get("kind") == "cache":
+                raise ValueError(f'line {i}: a resume cache ("kind":"cache"), not a result file')
         if "triad" in rec:
             triads.append(ResonantTriad.from_members(*rec["triad"]))
-    return header, triads
+    return header or {}, triads
 
 
 def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> EnumerationReport:
@@ -344,3 +358,47 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
         lambda_members=frozenset(members),
         stats={},
     )
+
+
+@dataclass
+class AngularHistogram:
+    """Angular occupancy of the resonant set within a box.
+
+    counts bins the members by atan2(n2, n1) over (-pi, pi]; axis_count is
+    the exact number of members with n2 = 0 (an integer test, never a bin
+    boundary artifact) and is zero for every box.
+    """
+
+    bins: int
+    counts: list[int]
+    axis_count: int
+
+
+def stats_anisotropy(report: EnumerationReport, bins: int) -> AngularHistogram:
+    """Histogram the box members of the resonant set by angle.
+
+    bins must be even and at least 4 so that bin edges sit symmetrically
+    around both axes. Angles are floating point for binning only; no verdict
+    depends on them.
+    """
+    if bins < 4 or bins % 2 != 0:
+        raise ValueError("bins must be an even number >= 4")
+    counts = [0] * bins
+    axis_count = 0
+    width = 2.0 * pi / bins
+    for m in sorted(report.lambda_members):
+        if m.n2 == 0:
+            axis_count += 1
+        theta = atan2(m.n2, m.n1)
+        idx = min(bins - 1, int((theta + pi) / width))
+        counts[idx] += 1
+    return AngularHistogram(bins=bins, counts=counts, axis_count=axis_count)
+
+
+def histogram_to_csv(hist: AngularHistogram) -> str:
+    lines = ["bin_center_radians,count"]
+    width = 2.0 * pi / hist.bins
+    for i, count in enumerate(hist.counts):
+        center = -pi + (i + 0.5) * width
+        lines.append(f"{center!r},{count}")
+    return "\n".join(lines) + "\n"

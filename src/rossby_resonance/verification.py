@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .exact_core import (
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import search_radius
+from .partner_search import _disk_columns, search_radius
 
 # Largest zonal bound for which the vectorized residual stays within int64:
 # term magnitudes are bounded by 154 * n1^5 (|x|, |y| <= 2 n1).
@@ -58,7 +59,7 @@ class VerificationReport:
 
 def _axis_disk_scan_vector(n1: int) -> tuple[int, list]:
     """Exact int64 sweep of the full search disk of (n1, 0)."""
-    r = search_radius((n1, 0)).radius
+    r = search_radius((n1, 0))
     xs = np.arange(-r, r + 1, dtype=np.int64)
     ys = np.arange(-r, r + 1, dtype=np.int64)
     x = xs[:, None]
@@ -77,14 +78,9 @@ def _axis_disk_scan_vector(n1: int) -> tuple[int, list]:
 
 
 def _axis_disk_scan_scalar(n1: int, predicate) -> tuple[int, list]:
-    r = search_radius((n1, 0)).radius
-    r2 = r * r
     checked = 0
     counterexamples = []
-    for x in range(-r, r + 1):
-        if x == 0 or x == n1:
-            continue
-        ymax = isqrt(r2 - x * x)
+    for x, ymax in _disk_columns((n1, 0)):
         for y in range(-ymax, ymax + 1):
             checked += 1
             if predicate((n1, 0), (x, y)):
@@ -154,16 +150,10 @@ def verify_diophantine_lemma(b_max: int) -> VerificationReport:
     )
 
 
-def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:
-    """The two-parameter family n = (m^4, m l^3), partner (l^4, -m^3 l).
-
-    Every pair 1 <= m <= m_max, 1 <= l <= l_max with m != l is resonant by
-    an exact algebraic identity; a failing member would be a contract
-    violation, not a data point, hence the hard error.
-    """
+def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, ResonantTriad]]:
+    """(n, canonical triad) of each member of the family, m-major order."""
     if m_max < 1 or l_max < 1:
         raise ValueError("m_max and l_max must be >= 1")
-    triads = []
     for m in range(1, m_max + 1):
         for l in range(1, l_max + 1):
             if m == l:
@@ -174,8 +164,17 @@ def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:
                 raise RuntimeError(
                     f"family member m={m}, l={l} failed the exact resonance check"
                 )
-            triads.append(canonical_triad(n, k))
-    return triads
+            yield n, canonical_triad(n, k)
+
+
+def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:
+    """The two-parameter family n = (m^4, m l^3), partner (l^4, -m^3 l).
+
+    Every pair 1 <= m <= m_max, 1 <= l <= l_max with m != l is resonant by
+    an exact algebraic identity; a failing member would be a contract
+    violation, not a data point, hence the hard error.
+    """
+    return [triad for _, triad in _family_triads(m_max, l_max)]
 
 
 def check_proof_identity(sample_count: int, bound: int, seed: int = 0) -> VerificationReport:

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from rossby_resonance import cli
-from rossby_resonance.cli import run, stats_anisotropy
-from rossby_resonance.partner_search import enumerate_lambda
+from rossby_resonance.cli import run
+from rossby_resonance.partner_search import enumerate_lambda, stats_anisotropy
 from rossby_resonance.verification import VerificationReport
 
 
@@ -94,6 +94,14 @@ class TestClusters:
 
     def test_missing_input_file(self, capsys):
         assert run(["clusters", "--in", "/nonexistent/path.jsonl"]) == 2
+
+    def test_cache_file_is_not_a_result(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        run(["enumerate", "--max-norm", "12", "--cache", str(cache)])
+        capsys.readouterr()
+        assert run(["clusters", "--in", str(cache)]) == 2
+        assert run(["stats", "--in", str(cache)]) == 2
+        assert "resume cache" in capsys.readouterr().err
 
 
 class TestVerifySubcommands:

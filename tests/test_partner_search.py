@@ -22,7 +22,7 @@ class TestSearchRadius:
         [((1, 11), 244), ((3, 19), 247), ((5, 0), 10), ((-3, 19), 247), ((1, 60), 7202)],
     )
     def test_values(self, n, radius):
-        assert search_radius(n).radius == radius
+        assert search_radius(n) == radius
 
     def test_zero_zonal_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +159,8 @@ class TestJsonl:
         rebuilt = report_from_triads(12, triads)
         assert rebuilt.triads == report12.triads
         assert rebuilt.lambda_members == report12.lambda_members
+        # the header is the first non-blank line, not line 0
+        assert read_triads_jsonl(["", *body.splitlines()]) == (header, triads)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -185,6 +187,12 @@ class TestCache:
         resumed = enumerate_lambda(12, cache_path=cache)
         assert 0 < resumed.stats["cache_hits"] < resumed.stats["quadrant_points"]
         assert report_to_jsonl(resumed) == full
+        # the first resume dropped the fragment, so nothing is recomputed now
+        again = enumerate_lambda(12, cache_path=cache)
+        assert again.stats["cache_hits"] == again.stats["quadrant_points"]
+        assert report_to_jsonl(again) == full
+        for line in cache.read_text().splitlines():
+            json.loads(line)
 
     def test_mismatched_cache_rejected(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
