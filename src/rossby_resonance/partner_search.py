@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import atan2, isqrt, pi
 from multiprocessing import Pool
 from typing import IO, Iterable, Iterator
@@ -39,6 +39,7 @@ from .exact_core import (
 )
 
 JSONL_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,19 @@ def _header(max_norm: int) -> dict:
 
 def _cache_header(max_norm: int) -> dict:
     """The result header marked so that no reader takes a cache for a result."""
-    return {**_header(max_norm), "kind": "cache"}
+    return {**_header(max_norm), "schema": CACHE_SCHEMA, "kind": "cache"}
 
 
 def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTriad]], int]:
-    """Completed per-source triads from a cache file, and the byte offset
-    just after the last complete done_upto line; ({}, 0) when absent.
+    """Finished sources from a cache file with their triads, and the byte
+    offset just after the last complete line; ({}, 0) when absent.
 
-    Only sources acknowledged by a done_upto marker count as complete;
-    records after the last marker belong to an interrupted source and are
-    recomputed. A line without its newline was cut mid-write and ends the
-    read, as does a line that is not JSON.
+    Each line after the header is one finished source. A line without its
+    newline was cut mid-write and ends the read, as does a line that is not
+    JSON. A header cut before its newline counts as an absent cache, so the
+    file is started afresh.
     """
     done: dict[Wavenumber, list[ResonantTriad]] = {}
-    pending: dict[Wavenumber, list[ResonantTriad]] = {}
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -179,23 +179,23 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             raise ValueError(
                 f"cache file {path} was written for different parameters: {header}"
             )
-        offset = end = len(first)
-        for line in fh:
-            end += len(line)
+        if not first.endswith(b"\n"):
+            return {}, 0
+        offset = len(first)
+        for i, line in enumerate(fh, start=2):
             if not line.endswith(b"\n"):
                 break
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
                 break
-            if "done_upto" in rec:
-                n = Wavenumber(*rec["done_upto"])
-                done[n] = pending.pop(n, [])
-                offset = end
-            elif "triad" in rec:
-                triad = ResonantTriad.from_members(*rec["triad"])
-                source = Wavenumber(*rec["source_n"])
-                pending.setdefault(source, []).append(triad)
+            try:
+                done[Wavenumber(*rec["n"])] = [ResonantTriad.from_members(*t) for t in rec["triads"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"cache file {path} line {i}: not a finished-source record: {exc}"
+                ) from exc
+            offset += len(line)
     return done, offset
 
 
@@ -242,26 +242,17 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             writer.close()
     t_search = time.perf_counter()
 
-    triads: set[ResonantTriad] = set()
-    lambda_members: set[Wavenumber] = set()
-    quadrant_hits = 0
-    for n in points:
-        source_triads = per_source[n]
-        if not source_triads:
-            continue
-        quadrant_hits += 1
-        lambda_members.update((n, -n, n.mirror(), -n.mirror()))
-        for t in source_triads:
-            triads.add(t)
-            triads.add(t.mirrored())
+    report = report_from_triads(
+        max_norm, (m for n in points for t in per_source[n] for m in (t, t.mirrored()))
+    )
     t_end = time.perf_counter()
 
     stats = {
         "quadrant_points": len(points),
         "cache_hits": len(cached),
-        "quadrant_lambda": quadrant_hits,
-        "triads": len(triads),
-        "lambda_members": len(lambda_members),
+        "quadrant_lambda": sum(1 for n in points if per_source[n]),
+        "triads": len(report.triads),
+        "lambda_members": len(report.lambda_members),
         "jobs": jobs,
         "wall_time_ms": {
             "search": (t_search - t0) * 1000.0,
@@ -269,21 +260,15 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             "total": (t_end - t0) * 1000.0,
         },
     }
-    return EnumerationReport(
-        max_norm=max_norm,
-        triads=frozenset(triads),
-        lambda_members=frozenset(lambda_members),
-        stats=stats,
-    )
+    return replace(report, stats=stats)
 
 
 def _collect(results, per_source, writer) -> None:
+    """Record each finished source, and append it to the cache as one line."""
     for n, triads_n in results:
         per_source[n] = triads_n
         if writer is not None:
-            for t in triads_n:
-                writer.write(_dump_line(_triad_record(t, n)) + "\n")
-            writer.write(_dump_line({"done_upto": [n.n1, n.n2]}) + "\n")
+            writer.write(_dump_line({"n": n, "triads": [t.members() for t in triads_n]}) + "\n")
             writer.flush()
 
 
@@ -328,21 +313,26 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {i}: not valid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {i}: not a JSON object")
         if header is None:
             header = rec if "schema" in rec and "triad" not in rec else {}
             if header.get("kind") == "cache":
                 raise ValueError(f'line {i}: a resume cache ("kind":"cache"), not a result file')
         if "triad" in rec:
-            triads.append(ResonantTriad.from_members(*rec["triad"]))
+            try:
+                triads.append(ResonantTriad.from_members(*rec["triad"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {i}: not a triad record: {exc}") from exc
     return header or {}, triads
 
 
 def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> EnumerationReport:
-    """Rebuild an EnumerationReport from serialized triads.
+    """An EnumerationReport from a complete triad set, read back from a file
+    or expanded by enumerate_lambda.
 
-    lambda_members is recovered as the box wavenumbers appearing (up to
-    sign) in some triad, which coincides with the members a fresh
-    enumeration at the same box would report.
+    lambda_members is derived here and only here: the box wavenumbers
+    appearing (up to sign) in some triad.
     """
     triad_set = frozenset(triads)
     m2 = max_norm * max_norm

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator
 
-import numpy as np
-
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
@@ -59,6 +57,8 @@ class VerificationReport:
 
 def _axis_disk_scan_vector(n1: int) -> tuple[int, list]:
     """Exact int64 sweep of the full search disk of (n1, 0)."""
+    import numpy as np  # imported here so that importing the package does not pay for numpy
+
     r = search_radius((n1, 0))
     xs = np.arange(-r, r + 1, dtype=np.int64)
     ys = np.arange(-r, r + 1, dtype=np.int64)

@@ -104,6 +104,39 @@ class TestClusters:
         assert "resume cache" in capsys.readouterr().err
 
 
+RESULT_HEADER = '{"schema":1,"max_norm":5,"quadrant":true}\n'
+CACHE_HEADER = '{"schema":2,"max_norm":5,"quadrant":true,"kind":"cache"}\n'
+MALFORMED_INPUTS = [
+    (["clusters", "--in"], RESULT_HEADER + "5\n", "line 2"),
+    (["stats", "--in"], RESULT_HEADER + "5\n", "line 2"),
+    (["clusters", "--in"], RESULT_HEADER + '{"triad":[[1,2]]}\n', "line 2"),
+    (["stats", "--in"], RESULT_HEADER + '{"triad":[[1,2]]}\n', "line 2"),
+    (["clusters", "--in"], "5\n", "line 1"),
+    (["stats", "--in"], "5\n", "line 1"),
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"done_upto":[1]}\n', "line 2"),
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1,0],"triads":[[[1,2]]]}\n', "line 2"),
+    # the earlier cache format: per-triad records and done_upto markers
+    (["enumerate", "--max-norm", "5", "--cache"],
+     '{"schema":1,"max_norm":5,"quadrant":true,"kind":"cache"}\n{"done_upto":[1,0]}\n',
+     "written for different parameters"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, where",
+    MALFORMED_INPUTS,
+    ids=["clusters-int", "stats-int", "clusters-short-triad", "stats-short-triad",
+         "clusters-only-int", "stats-only-int", "cache-marker", "cache-short-triad",
+         "cache-schema-1"],
+)
+def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
+    path = tmp_path / "input.jsonl"
+    path.write_text(text)
+    assert run([*argv, str(path)]) == 2
+    assert where in capsys.readouterr().err
+    assert path.read_text() == text
+
+
 class TestVerifySubcommands:
     def test_lemma_summary(self, capsys):
         assert run(["verify-lemma", "--max", "50"]) == 0
@@ -265,3 +298,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "resonant, residual 0/1\n"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rossby_resonance; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

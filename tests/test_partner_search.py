@@ -194,6 +194,21 @@ class TestCache:
         for line in cache.read_text().splitlines():
             json.loads(line)
 
+    def test_resume_after_header_cut_before_its_newline(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        full = report_to_jsonl(enumerate_lambda(12, cache_path=cache))
+        header = cache.read_text().split("\n", 1)[0]
+        cache.write_text(header)
+        assert report_to_jsonl(enumerate_lambda(12, cache_path=cache)) == full
+        again = enumerate_lambda(12, cache_path=cache)
+        assert again.stats["cache_hits"] == again.stats["quadrant_points"]
+        assert report_to_jsonl(again) == full
+        # any other first line is not a cache of ours and is left alone
+        cache.write_text(header[:-1])
+        with pytest.raises(ValueError):
+            enumerate_lambda(12, cache_path=cache)
+        assert cache.read_text() == header[:-1]
+
     def test_mismatched_cache_rejected(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         enumerate_lambda(5, cache_path=cache)
