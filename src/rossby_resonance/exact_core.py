@@ -307,17 +307,17 @@ def _root_floors(coeffs: list[int], lo: int, hi: int) -> list[int]:
     return sorted(out)
 
 
-def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
-    """All integers y with |y| <= bound and p(y) = 0, sorted ascending.
+def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
+    """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending.
 
-    Exactness is unconditional: candidate locations come from exact
+    coeffs are ordered highest degree first. The interval is first clipped
+    to the Cauchy bound 1 + max|c_i| // |c_lead|, outside which no real root
+    lies. Exactness is unconditional: candidate locations come from exact
     sign-change isolation (see _root_floors) and every candidate is
     confirmed by exact evaluation. Degenerate leading coefficients are
     tolerated; the identically-zero polynomial is rejected.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    coeffs = [p.a4, p.a3, p.a2, p.a1, p.a0]
+    coeffs = list(coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     if not coeffs:
@@ -325,8 +325,15 @@ def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
     if len(coeffs) == 1:
         return []
     cauchy = 1 + max(abs(c) for c in coeffs[1:]) // abs(coeffs[0])
-    lo = max(-bound, -cauchy)
-    hi = min(bound, cauchy)
+    lo = max(lo, -cauchy)
+    hi = min(hi, cauchy)
     if lo > hi:
         return []
     return [m for m in _root_floors(coeffs, lo, hi) if _poly_eval(coeffs, m) == 0]
+
+
+def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
+    """All integers y with |y| <= bound and p(y) = 0, sorted ascending."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    return _integer_roots_between(p, -bound, bound)

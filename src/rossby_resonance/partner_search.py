@@ -1,14 +1,13 @@
 """Complete bounded search for resonant partners and box enumeration.
 
-If (x, y) decomposes n resonantly, the triangle inequality applied to the
-three dispersion terms forces the smaller-norm leg into the disk
-
-    |k| <= 2 |n|^2 / |n1|,
-
-so scanning first components x over that disk, extracting the integer roots
-of the partner quartic for each x, and adding the complementary leg n - k of
-every hit is a complete search. All hits are reconfirmed with the exact
-resonance predicate.
+The partner search scans only the columns x that a sign argument on
+sigma(k) = k1 / |k|^2 allows; find_partners proves the three branches. For
+each column the integer roots of the partner quartic are isolated exactly in
+that column's y window, every hit is reconfirmed with the exact resonance
+predicate, and the complementary leg n - k of every hit is added. The
+search disk |k| <= search_radius(n) = ceil(2 |n|^2 / |n1|), which follows
+from the triangle inequality on the three dispersion terms, is kept for the
+brute-force oracles.
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
@@ -32,8 +31,8 @@ from typing import IO, Iterable, Iterator
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
+    _integer_roots_between,
     canonical_triad,
-    integer_roots,
     is_resonant,
     quartic_coeffs,
 )
@@ -83,18 +82,54 @@ def _disk_columns(n) -> Iterator[tuple[int, int]]:
             yield x, isqrt(r2 - x * x)
 
 
+def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
+    """Columns (x, lo, hi) of the partner search of n, for n1 > 0.
+
+    Every partner (x, y) of n, or its complement n - (x, y), lies in some
+    column with lo <= y <= hi; see find_partners for the proof.
+    """
+    n1, n2 = n
+    b = n1 * n1 + n2 * n2
+    for u in range(n1 + 1, (b - 1) // n1 + 1):
+        w = isqrt((u * (b - u * n1) - 1) // n1)
+        yield n1 - u, n2 - w, n2 + w
+    for x in range(1, n1):
+        w = isqrt(b - x * x)
+        yield x, -w, w
+
+
 def find_partners(n) -> list[Wavenumber]:
     """All partners (x, y) with is_resonant(n, (x, y)), sorted.
 
     Complete: both legs of every decomposition are returned (if k appears,
-    so does n - k). Per first component x the quartic's integer roots are
-    isolated exactly within the disk x^2 + y^2 <= radius^2 and every hit is
-    confirmed with is_resonant before being accepted.
+    so does n - k). For negative n1 the partners are the negations of those
+    of -n, because sigma(-k) = -sigma(k). For n1 > 0 let k = (x, y),
+    u = n1 - x and b = |n|^2; resonance reads n1/b = sigma(k) + sigma(n - k)
+    with sigma(n - k) = u / (u^2 + (n2 - y)^2). Columns x = 0 and x = n1 are
+    trivial interactions, which leaves three branches:
+
+    - x < 0: sigma(k) < 0, so sigma(n - k) > n1/b, that is
+      n1 (n2 - y)^2 < u (b - u n1). Then u runs from n1 + 1 while u n1 < b,
+      and in integers |n2 - y| <= isqrt((u (b - u n1) - 1) // n1).
+    - x > n1: then n - k has first component u < 0, so it is a partner of
+      the x < 0 branch and k is found as its complement. Never visited.
+    - 0 < x < n1: both sigma terms are positive. If k is the smaller leg,
+      |k| <= |n - k|, then n1/b <= x/|k|^2 + u/|k|^2 = n1/|k|^2, so
+      |k|^2 <= b; x runs over 1..n1-1 with |y| <= isqrt(b - x^2), and the
+      larger leg is found as the complement.
+
+    Per column the quartic's integer roots are isolated exactly in the y
+    window, and every hit is confirmed with is_resonant before it is
+    accepted.
     """
     n1, n2 = n
+    if n1 == 0:
+        raise ValueError("partner search requires a nonzero zonal component")
+    if n1 < 0:
+        return sorted(-k for k in find_partners((-n1, -n2)))
     found: set[Wavenumber] = set()
-    for x, ymax in _disk_columns(n):
-        for y in integer_roots(quartic_coeffs((n1, n2), x), ymax):
+    for x, lo, hi in _partner_columns((n1, n2)):
+        for y in _integer_roots_between(quartic_coeffs((n1, n2), x), lo, hi):
             if is_resonant((n1, n2), (x, y)):
                 found.add(Wavenumber(x, y))
                 found.add(Wavenumber(n1 - x, n2 - y))
@@ -157,10 +192,12 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
     """Finished sources from a cache file with their triads, and the byte
     offset just after the last complete line; ({}, 0) when absent.
 
-    Each line after the header is one finished source. A line without its
-    newline was cut mid-write and ends the read, as does a line that is not
-    JSON. A header cut before its newline counts as an absent cache, so the
-    file is started afresh.
+    Each line after the header is one finished source of the box's
+    quadrant. A line without its newline was cut mid-write and ends the
+    read. A complete line that is not JSON is skipped: its source is
+    recomputed and the lines after it still count. A header cut before its
+    newline counts as an absent cache, so the file is started afresh. A JSON
+    line that is not a record of a quadrant source raises ValueError.
     """
     done: dict[Wavenumber, list[ResonantTriad]] = {}
     try:
@@ -181,21 +218,29 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             )
         if not first.endswith(b"\n"):
             return {}, 0
+        quadrant = set(_quadrant_points(max_norm))
         offset = len(first)
         for i, line in enumerate(fh, start=2):
             if not line.endswith(b"\n"):
                 break
+            offset += len(line)
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
-                break
+            except ValueError:
+                continue
             try:
-                done[Wavenumber(*rec["n"])] = [ResonantTriad.from_members(*t) for t in rec["triads"]]
+                n = Wavenumber(*rec["n"])
+                triads = [ResonantTriad.from_members(*t) for t in rec["triads"]]
+                outside = n not in quadrant
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
                 ) from exc
-            offset += len(line)
+            if outside:
+                raise ValueError(
+                    f"cache file {path} line {i}: source {rec['n']} is outside the box quadrant"
+                )
+            done[n] = triads
     return done, offset
 
 
@@ -249,7 +294,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
 
     stats = {
         "quadrant_points": len(points),
-        "cache_hits": len(cached),
+        "cache_hits": len(points) - len(pending),
         "quadrant_lambda": sum(1 for n in points if per_source[n]),
         "triads": len(report.triads),
         "lambda_members": len(report.lambda_members),

@@ -69,6 +69,24 @@ class TestEnumerate:
                     "--cache", str(cache)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_corrupt_cache_line_is_recomputed(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        out_a = tmp_path / "a.jsonl"
+        out_b = tmp_path / "b.jsonl"
+        assert run(["enumerate", "--max-norm", "12", "--out", str(out_a),
+                    "--cache", str(cache)]) == 0
+        lines = cache.read_text().splitlines(True)
+        assert len(lines) == 111  # header + 110 quadrant sources
+        lines[19] = '{"n":[2,5],"triads":[}\n'
+        cache.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["enumerate", "--max-norm", "12", "--out", str(out_b),
+                    "--cache", str(cache)]) == 0
+        assert "cache hits 109)" in capsys.readouterr().err
+        assert out_a.read_bytes() == out_b.read_bytes()
+        assert run(["enumerate", "--max-norm", "12", "--cache", str(cache)]) == 0
+        assert "cache hits 110)" in capsys.readouterr().err
+
 
 class TestClusters:
     def test_in_file_equals_in_memory(self, tmp_path, capsys):
@@ -115,6 +133,10 @@ MALFORMED_INPUTS = [
     (["stats", "--in"], "5\n", "line 1"),
     (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"done_upto":[1]}\n', "line 2"),
     (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1,0],"triads":[[[1,2]]]}\n', "line 2"),
+    # sources outside the box's quadrant
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[0,0],"triads":[]}\n', "line 2"),
+    (["enumerate", "--max-norm", "5", "--cache"],
+     CACHE_HEADER + '{"n":[1,0],"triads":[]}\n{"n":[4,4],"triads":[]}\n', "line 3"),
     # the earlier cache format: per-triad records and done_upto markers
     (["enumerate", "--max-norm", "5", "--cache"],
      '{"schema":1,"max_norm":5,"quadrant":true,"kind":"cache"}\n{"done_upto":[1,0]}\n',
@@ -127,7 +149,7 @@ MALFORMED_INPUTS = [
     MALFORMED_INPUTS,
     ids=["clusters-int", "stats-int", "clusters-short-triad", "stats-short-triad",
          "clusters-only-int", "stats-only-int", "cache-marker", "cache-short-triad",
-         "cache-schema-1"],
+         "cache-origin", "cache-outside-box", "cache-schema-1"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"

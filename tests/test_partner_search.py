@@ -6,6 +6,8 @@ import pytest
 from rossby_resonance.exact_core import ResonantTriad, Wavenumber
 from rossby_resonance.partner_search import (
     EnumerationReport,
+    _partner_columns,
+    _quadrant_points,
     enumerate_lambda,
     find_partners,
     naive_partner_oracle,
@@ -61,6 +63,18 @@ class TestFindPartners:
         for n1 in range(1, 9):
             for n2 in range(0, isqrt(64 - n1 * n1) + 1):
                 assert find_partners((n1, n2)) == naive_partner_oracle((n1, n2))
+
+    def test_matches_oracle_on_signed_points(self):
+        # every sign combination, so the negation path for n1 < 0 is covered
+        for n1 in range(-12, 13):
+            for n2 in range(-12, 13):
+                if n1 != 0 and n1 * n1 + n2 * n2 <= 144:
+                    assert find_partners((n1, n2)) == naive_partner_oracle((n1, n2)), (n1, n2)
+
+    def test_column_counts(self):
+        # one quartic per column: a work count that does not depend on the hardware
+        assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 9857
+        assert sum(1 for _ in _partner_columns((1, 60))) == 3599
 
 
 class TestEnumerateLambda:

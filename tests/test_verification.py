@@ -1,9 +1,14 @@
 import json
+from math import isqrt
 
 import pytest
 
 from rossby_resonance.exact_core import Wavenumber, is_resonant
+from rossby_resonance.partner_search import search_radius
 from rossby_resonance.verification import (
+    _VECTOR_SAFE_N1,
+    _axis_disk_scan_scalar,
+    _axis_disk_scan_vector,
     check_proof_identity,
     generate_family,
     verify_axis_theorem,
@@ -30,6 +35,25 @@ class TestAxisTheorem:
         slow = verify_axis_theorem(25, predicate=is_resonant)
         assert fast.checked == slow.checked
         assert fast.counterexamples == slow.counterexamples == []
+
+    def test_vector_and_scalar_scans_agree_per_n1(self):
+        for n1 in range(1, 31):
+            assert _axis_disk_scan_vector(n1) == _axis_disk_scan_scalar(n1, is_resonant), n1
+
+    def test_vector_scan_fits_int64_at_the_safe_bound(self):
+        # The residual's three terms, summed in absolute value, bound every
+        # int64 intermediate of the vector scan. Each term grows with y^2, so
+        # over a disk column it peaks at the column's extreme points.
+        n1 = _VECTOR_SAFE_N1
+        b = n1 * n1
+        r = search_radius((n1, 0))
+        worst = 0
+        for x in range(-r, r + 1):
+            y2 = isqrt(r * r - x * x) ** 2
+            u = n1 - x
+            d, f = x * x + y2, u * u + y2
+            worst = max(worst, n1 * d * f + abs(x) * b * f + abs(u) * b * d)
+        assert worst < 2**63
 
     def test_corrupted_predicate_is_caught(self):
         flipped_at = ((5, 0), (2, 3))
