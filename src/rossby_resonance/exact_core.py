@@ -254,6 +254,40 @@ def _derivative(coeffs: list[int]) -> list[int]:
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
 
+def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> list[int]:
+    """One degree of _root_floors: poly evaluates the polynomial at an
+    integer, and inherited are the sorted markers of its derivative."""
+    checkpoints = {lo, hi}
+    for f in inherited:
+        checkpoints.add(f)
+        if f < hi:
+            checkpoints.add(f + 1)
+    points = sorted(checkpoints)
+    out = set(inherited)
+    p, vp = points[0], poly(points[0])
+    if vp == 0:
+        out.add(p)
+    for q in points[1:]:
+        vq = poly(q)
+        if vq == 0:
+            out.add(q)
+        elif vp * vq < 0:
+            a, b, va = p, q, vp
+            while b - a > 1:
+                mid = (a + b) // 2
+                vm = poly(mid)
+                if vm == 0:
+                    a = mid
+                    break
+                if (vm > 0) == (va > 0):
+                    a, va = mid, vm
+                else:
+                    b = mid
+            out.add(a)
+        p, vp = q, vq
+    return sorted(out)
+
+
 def _root_floors(coeffs: list[int], lo: int, hi: int) -> list[int]:
     """Marker floors covering every real root of an integer polynomial.
 
@@ -266,45 +300,30 @@ def _root_floors(coeffs: list[int], lo: int, hi: int) -> list[int]:
     on a checkpoint, or shares its unit cell with a derivative root (even
     multiplicity directly; two roots in one cell or a root next to a root
     endpoint via Rolle) and is covered by the inherited marker.
+
+    A quartic, the partner search's case, is unrolled with Horner inlined:
+    p'''/6, p''/2 and p' have fixed coefficients, and dividing by a positive
+    constant keeps the signs and roots of the derivatives.
     """
     if lo > hi:
         return []
+    if len(coeffs) == 5:
+        a4, a3, a2, a1, a0 = coeffs
+        f = (-a3) // (4 * a4)
+        markers = [f] if lo <= f <= hi else []
+        c2, c1 = 6 * a4, 3 * a3
+        markers = _refine_floors(lambda t: (c2 * t + c1) * t + a2, markers, lo, hi)
+        b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
+        markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
+        return _refine_floors(
+            lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi
+        )
     if len(coeffs) == 2:
         c1, c0 = coeffs
         f = (-c0) // c1
         return [f] if lo <= f <= hi else []
-
     inherited = _root_floors(_derivative(coeffs), lo, hi)
-    checkpoints = {lo, hi}
-    for f in inherited:
-        checkpoints.add(f)
-        if f + 1 <= hi:
-            checkpoints.add(f + 1)
-    points = sorted(checkpoints)
-    values = [_poly_eval(coeffs, p) for p in points]
-
-    out = set(inherited)
-    for i, (p, vp) in enumerate(zip(points, values)):
-        if vp == 0:
-            out.add(p)
-        if i + 1 == len(points):
-            break
-        q, vq = points[i + 1], values[i + 1]
-        if vp * vq < 0:
-            a, b, va = p, q, vp
-            exact = None
-            while b - a > 1:
-                mid = (a + b) // 2
-                vm = _poly_eval(coeffs, mid)
-                if vm == 0:
-                    exact = mid
-                    break
-                if (vm > 0) == (va > 0):
-                    a, va = mid, vm
-                else:
-                    b = mid
-            out.add(exact if exact is not None else a)
-    return sorted(out)
+    return _refine_floors(lambda t: _poly_eval(coeffs, t), inherited, lo, hi)
 
 
 def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
