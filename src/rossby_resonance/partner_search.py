@@ -113,10 +113,10 @@ def find_partners(n) -> list[Wavenumber]:
       and in integers |n2 - y| <= isqrt((u (b - u n1) - 1) // n1).
     - x > n1: then n - k has first component u < 0, so it is a partner of
       the x < 0 branch and k is found as its complement. Never visited.
-    - 0 < x < n1: both sigma terms are positive. If k is the smaller leg,
-      |k| <= |n - k|, then n1/b <= x/|k|^2 + u/|k|^2 = n1/|k|^2, so
-      |k|^2 <= b; x runs over 1..n1-1 with |y| <= isqrt(b - x^2), and the
-      larger leg is found as the complement.
+    - 0 < x < n1: x and u are positive. If k is the smaller leg,
+      |k| <= |n - k|, then n1/b = x/|k|^2 + u/|n - k|^2 <= (x + u)/|k|^2
+      = n1/|k|^2, so |k|^2 <= b; x runs over 1..n1-1 with
+      |y| <= isqrt(b - x^2), and the larger leg is found as the complement.
 
     Per column the quartic's integer roots are isolated exactly in the y
     window, and every hit is confirmed with is_resonant before it is
@@ -230,17 +230,15 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
                 continue
             try:
                 n = Wavenumber(*rec["n"])
-                triads = [ResonantTriad.from_members(*t) for t in rec["triads"]]
-                outside = n not in quadrant
+                done[n] = [ResonantTriad.from_members(*t) for t in rec["triads"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
                 ) from exc
-            if outside:
+            if n not in quadrant:
                 raise ValueError(
                     f"cache file {path} line {i}: source {rec['n']} is outside the box quadrant"
                 )
-            done[n] = triads
     return done, offset
 
 
