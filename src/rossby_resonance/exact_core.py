@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, NamedTuple
 
 
@@ -254,46 +255,54 @@ def _derivative(coeffs: list[int]) -> list[int]:
     return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> list[int]:
+def _refine_floors(poly, inherited: list[int], lo: int, hi: int, roots_only: bool = False) -> list[int]:
     """One degree of _root_floors: poly evaluates the polynomial at an
-    integer, and inherited are the sorted markers of its derivative."""
-    checkpoints = {lo, hi}
+    integer, and inherited are the sorted markers of its derivative, repeats
+    allowed. With roots_only the integer roots in [lo, hi] are returned
+    instead of the markers: each is a checkpoint or is met exactly by the
+    bisection of the monotone segment around it."""
+    points = [lo]
     for f in inherited:
-        checkpoints.add(f)
-        if f < hi:
-            checkpoints.add(f + 1)
-    points = sorted(checkpoints)
-    out = set(inherited)
-    p, vp = points[0], poly(points[0])
+        if f > points[-1]:
+            points.append(f)
+        if f == points[-1] and f < hi:
+            points.append(f + 1)
+    if hi > points[-1]:
+        points.append(hi)
+    found = []
+    p, vp = lo, poly(lo)
     if vp == 0:
-        out.add(p)
+        found.append(lo)
     for q in points[1:]:
         vq = poly(q)
         if vq == 0:
-            out.add(q)
+            found.append(q)
         elif vp * vq < 0:
             a, b, va = p, q, vp
             while b - a > 1:
                 mid = (a + b) // 2
                 vm = poly(mid)
                 if vm == 0:
-                    a = mid
+                    found.append(mid)
                     break
                 if (vm > 0) == (va > 0):
                     a, va = mid, vm
                 else:
                     b = mid
-            out.add(a)
+            else:
+                if not roots_only:
+                    found.append(a)
         p, vp = q, vq
-    return sorted(out)
+    return found if roots_only else sorted(inherited + found)
 
 
-def _root_floors(coeffs: list[int], lo: int, hi: int) -> list[int]:
+def _root_floors(coeffs: list[int], lo: int, hi: int, roots_only: bool = False) -> list[int]:
     """Marker floors covering every real root of an integer polynomial.
 
     Returns a sorted superset of { floor(r) : r real root of poly, lo <= r <= hi },
-    clipped to [lo, hi], computed in exact integer arithmetic. The markers of
-    the derivative are carried into the result, which is what makes the cover
+    clipped to [lo, hi], computed in exact integer arithmetic; with
+    roots_only, exactly the integer roots in [lo, hi]. The markers of the
+    derivative are carried into the result, which is what makes the cover
     complete: a root either produces a strict sign change between consecutive
     checkpoints (found by binary search, valid because segments wider than one
     unit contain no derivative root and are therefore monotone), lands exactly
@@ -301,29 +310,31 @@ def _root_floors(coeffs: list[int], lo: int, hi: int) -> list[int]:
     multiplicity directly; two roots in one cell or a root next to a root
     endpoint via Rolle) and is covered by the inherited marker.
 
-    A quartic, the partner search's case, is unrolled with Horner inlined:
-    p'''/6, p''/2 and p' have fixed coefficients, and dividing by a positive
-    constant keeps the signs and roots of the derivatives.
+    A quartic, the partner search's case, is unrolled with Horner inlined.
+    Its sign is normalised so that a4 > 0, which keeps every root. The roots
+    of p''/2 = 6 a4 t^2 + 3 a3 t + a2 are (m -+ s) / c with m = -3 a3,
+    c = 12 a4 > 0 and s the square root of the discriminant, and since c is
+    a positive integer their floors are (m - ceil(s)) // c and
+    (m + floor(s)) // c, both from isqrt.
     """
     if lo > hi:
         return []
     if len(coeffs) == 5:
-        a4, a3, a2, a1, a0 = coeffs
-        f = (-a3) // (4 * a4)
-        markers = [f] if lo <= f <= hi else []
-        c2, c1 = 6 * a4, 3 * a3
-        markers = _refine_floors(lambda t: (c2 * t + c1) * t + a2, markers, lo, hi)
+        a4, a3, a2, a1, a0 = coeffs if coeffs[0] > 0 else [-c for c in coeffs]
+        m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
+        markers = []
+        if disc >= 0:
+            s = isqrt(disc)
+            markers = [f for f in ((m - s - (s * s < disc)) // c, (m + s) // c) if lo <= f <= hi]
         b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
         markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
         return _refine_floors(
-            lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi
+            lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi, roots_only
         )
-    if len(coeffs) == 2:
-        c1, c0 = coeffs
-        f = (-c0) // c1
-        return [f] if lo <= f <= hi else []
+    if len(coeffs) == 1:
+        return []
     inherited = _root_floors(_derivative(coeffs), lo, hi)
-    return _refine_floors(lambda t: _poly_eval(coeffs, t), inherited, lo, hi)
+    return _refine_floors(lambda t: _poly_eval(coeffs, t), inherited, lo, hi, roots_only)
 
 
 def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
@@ -332,8 +343,8 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
     coeffs are ordered highest degree first. The interval is first clipped
     to the Cauchy bound 1 + max|c_i| // |c_lead|, outside which no real root
     lies. Exactness is unconditional: candidate locations come from exact
-    sign-change isolation (see _root_floors) and every candidate is
-    confirmed by exact evaluation. Degenerate leading coefficients are
+    sign-change isolation (see _root_floors) and a root is returned only
+    where exact evaluation gives zero. Degenerate leading coefficients are
     tolerated; the identically-zero polynomial is rejected.
     """
     coeffs = list(coeffs)
@@ -343,12 +354,8 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
         raise ValueError("the zero polynomial vanishes at every integer")
     if len(coeffs) == 1:
         return []
-    cauchy = 1 + max(abs(c) for c in coeffs[1:]) // abs(coeffs[0])
-    lo = max(lo, -cauchy)
-    hi = min(hi, cauchy)
-    if lo > hi:
-        return []
-    return [m for m in _root_floors(coeffs, lo, hi) if _poly_eval(coeffs, m) == 0]
+    cauchy = 1 + max(map(abs, coeffs[1:])) // abs(coeffs[0])
+    return _root_floors(coeffs, max(lo, -cauchy), min(hi, cauchy), roots_only=True)
 
 
 def integer_roots(p: QuarticPoly, bound: int) -> list[int]:

@@ -1,7 +1,9 @@
 """Complete bounded search for resonant partners and box enumeration.
 
 The partner search scans only the columns x that a sign argument on
-sigma(k) = k1 / |k|^2 allows; find_partners proves the three branches. For
+sigma(k) = k1 / |k|^2 allows, and caps the x < 0 branch at
+n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma; find_partners
+proves the three branches and the cap. For
 each column the integer roots of the partner quartic are isolated exactly in
 that column's y window, every hit is reconfirmed with the exact resonance
 predicate, and the complementary leg n - k of every hit is added. The
@@ -25,7 +27,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from math import atan2, isqrt, pi
-from multiprocessing import Pool
 from typing import IO, Iterable, Iterator
 
 from .exact_core import (
@@ -90,7 +91,8 @@ def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
     """
     n1, n2 = n
     b = n1 * n1 + n2 * n2
-    for u in range(n1 + 1, (b - 1) // n1 + 1):
+    cap = isqrt(isqrt(b**3 // (n1 * n1)))
+    for u in range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1):
         w = isqrt((u * (b - u * n1) - 1) // n1)
         yield n1 - u, n2 - w, n2 + w
     for x in range(1, n1):
@@ -111,6 +113,11 @@ def find_partners(n) -> list[Wavenumber]:
     - x < 0: sigma(k) < 0, so sigma(n - k) > n1/b, that is
       n1 (n2 - y)^2 < u (b - u n1). Then u runs from n1 + 1 while u n1 < b,
       and in integers |n2 - y| <= isqrt((u (b - u n1) - 1) // n1).
+      A gradient bound caps |x| further. With D = n - k, resonance reads
+      sigma(n) = sigma(D) - sigma(D - n), the integral of n . grad sigma
+      along the segment from D - n = -k to D. On that segment z1 >= -x > 0,
+      and |grad sigma(z)| = 1/|z|^2 <= 1/x^2, so n1/b <= |n|/x^2, that is
+      n1^2 x^4 <= b^3, and in integers |x| <= isqrt(isqrt(b^3 // n1^2)).
     - x > n1: then n - k has first component u < 0, so it is a partner of
       the x < 0 branch and k is found as its complement. Never visited.
     - 0 < x < n1: x and u are positive. If k is the smaller leg,
@@ -277,6 +284,8 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(_worker, pending)
             _collect(computed, per_source, writer)
         else:
+            from multiprocessing import Pool  # here so that importing the package does not load it
+
             chunk = max(1, len(pending) // (jobs * 8))
             with Pool(processes=jobs) as pool:
                 _collect(pool.imap(_worker, pending, chunksize=chunk), per_source, writer)

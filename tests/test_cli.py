@@ -330,3 +330,13 @@ def test_package_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_package_import_leaves_multiprocessing_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rossby_resonance; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -9,8 +9,10 @@ from rossby_resonance.exact_core import (
     ResonantTriad,
     TrivialInteractionError,
     Wavenumber,
+    _integer_roots_between,
     _poly_eval,
     _residual_numden,
+    _root_floors,
     canonical_triad,
     integer_roots,
     is_resonant,
@@ -286,3 +288,85 @@ class TestIntegerRoots:
             poly = QuarticPoly(*p)
             expected = sorted({r1, r2, 0})
             assert integer_roots(poly, 40) == expected
+
+
+def _scan_between(coeffs, lo, hi):
+    return [y for y in range(lo, hi + 1) if _poly_eval(coeffs, y) == 0]
+
+
+def _expand(lead, roots):
+    """Coefficients of lead * prod (y - r), highest degree first."""
+    p = [lead]
+    for r in roots:
+        p = p + [0]
+        for i in range(len(p) - 1, 0, -1):
+            p[i] -= r * p[i - 1]
+    return p
+
+
+class TestIntegerRootsBetween:
+    def test_random_polynomials_on_asymmetric_windows(self):
+        rng = random.Random(29)
+        for _ in range(600):
+            degree = rng.randint(1, 4)
+            coeffs = [rng.choice([-3, -2, -1, 1, 2, 3])]
+            coeffs += [rng.randint(-40, 40) for _ in range(degree)]
+            lo = rng.randint(-50, 30)
+            hi = lo + rng.randint(-2, 70)
+            assert _integer_roots_between(coeffs, lo, hi) == _scan_between(coeffs, lo, hi)
+
+    def test_constructed_double_roots_with_either_leading_sign(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            r1, r2, r3 = (rng.randint(-60, 60) for _ in range(3))
+            lead = rng.choice([-5, -2, -1, 1, 3])
+            coeffs = _expand(lead, (r1, r1, r2, r3))
+            # windows that end on, just miss or straddle the double root
+            for lo, hi in ((r1, r1), (r1 + 1, r1 + 40), (r1 - 40, r1 - 1), (r1 - rng.randint(0, 9), r2)):
+                assert _integer_roots_between(coeffs, lo, hi) == _scan_between(coeffs, lo, hi)
+            # clustered roots, so that roots of p, p' and p'' share a few unit cells
+            coeffs = _expand(lead, (r1, r1, r1 + 1, r1 - rng.randint(1, 3)))
+            assert _integer_roots_between(coeffs, r1 - 5, r1 + 5) == _scan_between(coeffs, r1 - 5, r1 + 5)
+
+    def test_partner_quartics_up_to_norm_100(self):
+        rng = random.Random(37)
+        cases = []
+        # known partners scaled up to |n| <= 100, so some windows hold roots
+        for (n1, n2), (x, y) in (((1, 11), (-8, 34)), ((1, 11), (9, -23)), ((1, 8), (-15, 10)), ((1, 8), (16, -2))):
+            for j in range(1, 10):
+                for sign in (1, -1):
+                    n = (sign * j * n1, sign * j * n2)
+                    cases.append((n, sign * j * x, sign * j * y))
+        while len(cases) < 400:
+            n1, n2 = rng.randint(-100, 100), rng.randint(-100, 100)
+            x = rng.randint(-300, 300)
+            if n1 == 0 or n1 * n1 + n2 * n2 > 10000 or x in (0, n1):
+                continue
+            cases.append(((n1, n2), x, n2 + rng.randint(-200, 200)))
+        for n, x, y in cases:
+            coeffs = list(quartic_coeffs(n, x))
+            lo, hi = y - rng.randint(0, 120), y + rng.randint(0, 120)
+            assert _integer_roots_between(coeffs, lo, hi) == _scan_between(coeffs, lo, hi), (n, x)
+            assert _integer_roots_between(coeffs, y + 1, hi) == _scan_between(coeffs, y + 1, hi), (n, x)
+
+    def test_quartic_markers_hold_the_floors_of_the_p2_roots(self):
+        # the markers of every derivative are carried into _root_floors; the
+        # roots (m -+ sqrt(disc)) / c of p''/2 = 6 a4 t^2 + 3 a3 t + a2 come
+        # from isqrt, so check their floors with the integer test t <= root
+        rng = random.Random(41)
+        for _ in range(1000):
+            coeffs = [rng.choice([-4, -3, -1, 1, 2, 5])] + [rng.randint(-400, 400) for _ in range(4)]
+            a4, a3, a2 = coeffs[:3] if coeffs[0] > 0 else [-c for c in coeffs[:3]]
+            m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
+            if disc < 0:
+                continue
+            below_lower = lambda t: m - c * t >= 0 and (m - c * t) ** 2 >= disc
+            below_upper = lambda t: c * t - m <= 0 or (c * t - m) ** 2 <= disc
+            lo, hi = rng.randint(-60, 0), rng.randint(0, 60)
+            floors = {
+                t
+                for t in range(lo, hi + 1)
+                for below in (below_lower, below_upper)
+                if below(t) and not below(t + 1)
+            }
+            assert floors <= set(_root_floors(coeffs, lo, hi)), coeffs

@@ -3,7 +3,12 @@ from math import isqrt
 
 import pytest
 
-from rossby_resonance.exact_core import ResonantTriad, Wavenumber
+from rossby_resonance.exact_core import (
+    ResonantTriad,
+    Wavenumber,
+    _integer_roots_between,
+    quartic_coeffs,
+)
 from rossby_resonance.partner_search import (
     EnumerationReport,
     _partner_columns,
@@ -16,6 +21,23 @@ from rossby_resonance.partner_search import (
     report_to_jsonl,
     search_radius,
 )
+
+
+def _uncapped_partners(n):
+    """find_partners with the x < 0 branch over its full range u n1 < |n|^2."""
+    n1, n2 = n
+    if n1 < 0:
+        return sorted(-k for k in _uncapped_partners((-n1, -n2)))
+    b = n1 * n1 + n2 * n2
+    columns = [(x, lo, hi) for x, lo, hi in _partner_columns(n) if x > 0]
+    for u in range(n1 + 1, (b - 1) // n1 + 1):
+        w = isqrt((u * (b - u * n1) - 1) // n1)
+        columns.append((n1 - u, n2 - w, n2 + w))
+    found = set()
+    for x, lo, hi in columns:
+        for y in _integer_roots_between(quartic_coeffs(n, x), lo, hi):
+            found.update({Wavenumber(x, y), Wavenumber(n1 - x, n2 - y)})
+    return sorted(found)
 
 
 class TestSearchRadius:
@@ -73,8 +95,20 @@ class TestFindPartners:
 
     def test_column_counts(self):
         # one quartic per column: a work count that does not depend on the hardware
-        assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 9857
-        assert sum(1 for _ in _partner_columns((1, 60))) == 3599
+        assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 6298
+        assert sum(1 for _ in _partner_columns((1, 60))) == 464
+
+    def test_gradient_cap_keeps_a_far_partner(self):
+        # |x| = 15 against a cap of isqrt(isqrt(65**3)) = 22; a cap below 15 loses it
+        assert (-15, 10) in find_partners((1, 8))
+
+    def test_capped_search_matches_uncapped_scan(self):
+        # near-meridional n, where the cap cuts the x < 0 branch the most and
+        # naive_partner_oracle is too slow; the reference scans every column
+        # with u n1 < |n|^2
+        for n1 in (-3, -2, -1, 1, 2, 3):
+            for n2 in range(-30, 31):
+                assert find_partners((n1, n2)) == _uncapped_partners((n1, n2)), (n1, n2)
 
 
 class TestEnumerateLambda:
