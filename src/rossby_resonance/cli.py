@@ -190,8 +190,10 @@ def _load_report(args) -> EnumerationReport:
         with open(args.in_path, "r", encoding="utf-8") as fh:
             header, triads = read_triads_jsonl(fh)
         max_norm = header.get("max_norm")
-        if max_norm is None:
-            raise ValueError(f"{args.in_path}: header carries no max_norm")
+        if type(max_norm) is not int or max_norm < 1:
+            raise ValueError(
+                f"{args.in_path}: header max_norm must be an integer >= 1, got {max_norm!r}"
+            )
         return report_from_triads(max_norm, triads)
     return enumerate_lambda(args.max_norm, jobs=args.jobs)
 

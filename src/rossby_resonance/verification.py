@@ -1,4 +1,4 @@
-"""Brute-force verification of the number-theoretic resonance claims.
+"""Exhaustive verification of the number-theoretic resonance claims.
 
 Each verifier sweeps an exhaustive range, records any counterexample, and
 reports counts and wall time. An empty counterexample list is the expected
@@ -17,16 +17,13 @@ from typing import Iterator
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
+    _integer_roots_between,
     _poly_eval,
     canonical_triad,
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import _disk_columns, search_radius
-
-# Largest zonal bound for which the vectorized residual stays within int64:
-# term magnitudes are bounded by 154 * n1^5 (|x|, |y| <= 2 n1).
-_VECTOR_SAFE_N1 = 2000
+from .partner_search import _disk_columns
 
 
 @dataclass
@@ -55,37 +52,31 @@ class VerificationReport:
         return doc
 
 
-def _axis_disk_scan_vector(n1: int) -> tuple[int, list]:
-    """Exact int64 sweep of the full search disk of (n1, 0)."""
-    import numpy as np  # imported here so that importing the package does not pay for numpy
+def _axis_disk_scan_columns(n) -> tuple[int, list]:
+    """Exact sweep of the full search disk of n, one quartic per column.
 
-    r = search_radius((n1, 0))
-    xs = np.arange(-r, r + 1, dtype=np.int64)
-    ys = np.arange(-r, r + 1, dtype=np.int64)
-    x = xs[:, None]
-    y = ys[None, :]
-    admissible = (x * x + y * y <= r * r) & (x != 0) & (x != n1)
-    b = np.int64(n1 * n1)
-    d = x * x + y * y
-    u = n1 - x
-    f = u * u + y * y
-    num = n1 * d * f - x * b * f - u * b * d
-    hits = admissible & (num == 0)
-    counterexamples = [
-        (n1, int(xs[i]), int(ys[j])) for i, j in np.argwhere(hits)
-    ]
-    return int(admissible.sum()), counterexamples
-
-
-def _axis_disk_scan_scalar(n1: int, predicate) -> tuple[int, list]:
+    Returns the number of disk cells and the resonant (x, y) among them.
+    """
     checked = 0
-    counterexamples = []
-    for x, ymax in _disk_columns((n1, 0)):
+    hits = []
+    for x, ymax in _disk_columns(n):
+        checked += 2 * ymax + 1
+        for y in _integer_roots_between(quartic_coeffs(n, x), -ymax, ymax):
+            if is_resonant(n, (x, y)):
+                hits.append((x, y))
+    return checked, hits
+
+
+def _axis_disk_scan_scalar(n, predicate) -> tuple[int, list]:
+    """Brute-force oracle for _axis_disk_scan_columns: predicate at every cell."""
+    checked = 0
+    hits = []
+    for x, ymax in _disk_columns(n):
         for y in range(-ymax, ymax + 1):
             checked += 1
-            if predicate((n1, 0), (x, y)):
-                counterexamples.append((n1, x, y))
-    return checked, counterexamples
+            if predicate(n, (x, y)):
+                hits.append((x, y))
+    return checked, hits
 
 
 def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
@@ -93,23 +84,24 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
 
     For every n1 in [1, n1_max] the full search disk of (n1, 0) is swept and
     each admissible (x, y) is asserted non-resonant. Negative n1 follows from
-    the zonal mirror symmetry. The default path is an exact vectorized int64
-    sweep; passing a predicate (used by the harness self-test) switches to
-    the scalar loop.
+    the zonal mirror symmetry. The sweep finds the exact integer roots of
+    each column's partner quartic, so it covers every disk cell at any
+    n1_max without relying on the branch bounds of find_partners; passing a
+    predicate (used by the harness self-test) switches to the brute-force
+    loop that calls it at every cell.
     """
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
     t0 = time.perf_counter()
     checked = 0
     counterexamples: list = []
-    use_vector = predicate is None and n1_max <= _VECTOR_SAFE_N1
     for n1 in range(1, n1_max + 1):
-        if use_vector:
-            c, ce = _axis_disk_scan_vector(n1)
+        if predicate is None:
+            c, hits = _axis_disk_scan_columns((n1, 0))
         else:
-            c, ce = _axis_disk_scan_scalar(n1, predicate or is_resonant)
+            c, hits = _axis_disk_scan_scalar((n1, 0), predicate)
         checked += c
-        counterexamples.extend(ce)
+        counterexamples.extend((n1, x, y) for x, y in hits)
     return VerificationReport(
         claim="axis-exclusion",
         bounds={"n1_max": n1_max},

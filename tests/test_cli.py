@@ -141,6 +141,11 @@ MALFORMED_INPUTS = [
     (["enumerate", "--max-norm", "5", "--cache"],
      '{"schema":1,"max_norm":5,"quadrant":true,"kind":"cache"}\n{"done_upto":[1,0]}\n',
      "written for different parameters"),
+    # result headers whose max_norm is not an integer >= 1
+    (["clusters", "--in"], '{"schema":1,"max_norm":"40","quadrant":true}\n', "max_norm"),
+    (["stats", "--in"], '{"schema":1,"max_norm":-3,"quadrant":true}\n', "max_norm"),
+    (["clusters", "--in"], '{"schema":1,"max_norm":2.5,"quadrant":true}\n', "max_norm"),
+    (["clusters", "--in"], '{"schema":1,"max_norm":true,"quadrant":true}\n', "max_norm"),
 ]
 
 
@@ -149,7 +154,9 @@ MALFORMED_INPUTS = [
     MALFORMED_INPUTS,
     ids=["clusters-int", "stats-int", "clusters-short-triad", "stats-short-triad",
          "clusters-only-int", "stats-only-int", "cache-marker", "cache-short-triad",
-         "cache-origin", "cache-outside-box", "cache-schema-1"],
+         "cache-origin", "cache-outside-box", "cache-schema-1",
+         "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
+         "header-max-norm-bool"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -323,13 +330,21 @@ def test_module_entry_point():
 
 
 def test_package_import_leaves_numpy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, rossby_resonance; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+    # Importing the package must not load numpy, and with numpy blocked
+    # (a None entry in sys.modules makes any import of it fail) verify-axis
+    # still runs.
+    script = (
+        "import sys, rossby_resonance; print('numpy' in sys.modules)\n"
+        "sys.modules['numpy'] = None\n"
+        "from rossby_resonance import cli\n"
+        "print(cli.run(['verify-axis', '--max', '5']))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1] == "0 counterexamples / 573 cases"
+    assert lines[2] == "0"
 
 
 def test_package_import_leaves_multiprocessing_unloaded():

@@ -1,14 +1,12 @@
 import json
-from math import isqrt
 
 import pytest
 
 from rossby_resonance.exact_core import Wavenumber, is_resonant
-from rossby_resonance.partner_search import search_radius
+from rossby_resonance.partner_search import naive_partner_oracle
 from rossby_resonance.verification import (
-    _VECTOR_SAFE_N1,
+    _axis_disk_scan_columns,
     _axis_disk_scan_scalar,
-    _axis_disk_scan_vector,
     check_proof_identity,
     generate_family,
     verify_axis_theorem,
@@ -36,24 +34,23 @@ class TestAxisTheorem:
         assert fast.checked == slow.checked
         assert fast.counterexamples == slow.counterexamples == []
 
-    def test_vector_and_scalar_scans_agree_per_n1(self):
+    def test_column_and_scalar_scans_agree_per_n1(self):
         for n1 in range(1, 31):
-            assert _axis_disk_scan_vector(n1) == _axis_disk_scan_scalar(n1, is_resonant), n1
+            n = (n1, 0)
+            assert _axis_disk_scan_columns(n) == _axis_disk_scan_scalar(n, is_resonant), n1
 
-    def test_vector_scan_fits_int64_at_the_safe_bound(self):
-        # The residual's three terms, summed in absolute value, bound every
-        # int64 intermediate of the vector scan. Each term grows with y^2, so
-        # over a disk column it peaks at the column's extreme points.
-        n1 = _VECTOR_SAFE_N1
-        b = n1 * n1
-        r = search_radius((n1, 0))
-        worst = 0
-        for x in range(-r, r + 1):
-            y2 = isqrt(r * r - x * x) ** 2
-            u = n1 - x
-            d, f = x * x + y2, u * u + y2
-            worst = max(worst, n1 * d * f + abs(x) * b * f + abs(u) * b * d)
-        assert worst < 2**63
+    @pytest.mark.parametrize(
+        "n, expected",
+        [((1, 11), [(-8, 34), (9, -23)]), ((8, 14), [(3, -11), (5, 25)])],
+        ids=["n=(1,11)", "n=(8,14)"],
+    )
+    def test_scans_report_the_resonant_cells_off_axis(self, n, expected):
+        # Off the axis the disk does hold resonant cells, so both scans must
+        # report them; (8, 14) has both partners in 0 < x < n1.
+        assert [tuple(k) for k in naive_partner_oracle(n)] == expected
+        columns = _axis_disk_scan_columns(n)
+        assert columns == _axis_disk_scan_scalar(n, is_resonant)
+        assert columns[1] == expected
 
     def test_corrupted_predicate_is_caught(self):
         flipped_at = ((5, 0), (2, 3))
