@@ -200,12 +200,11 @@ def _load_report(args) -> EnumerationReport:
 
 def _stats_summary(report: EnumerationReport) -> str:
     s = report.stats
-    times = s.get("wall_time_ms", {})
     return (
-        f"max_norm {report.max_norm}: {s.get('quadrant_points', 0)} quadrant points, "
+        f"max_norm {report.max_norm}: {s['quadrant_points']} quadrant points, "
         f"{len(report.lambda_members)} resonant members, {len(report.triads)} triads "
-        f"({times.get('total', 0.0):.0f} ms, jobs {s.get('jobs', 1)}, "
-        f"cache hits {s.get('cache_hits', 0)})"
+        f"({s['wall_time_ms']['total']:.0f} ms, jobs {s['jobs']}, "
+        f"cache hits {s['cache_hits']})"
     )
 
 

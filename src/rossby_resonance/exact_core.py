@@ -250,11 +250,6 @@ def _poly_eval(coeffs: Iterable[int], t: int) -> int:
     return acc
 
 
-def _derivative(coeffs: list[int]) -> list[int]:
-    d = len(coeffs) - 1
-    return [c * (d - i) for i, c in enumerate(coeffs[:-1])]
-
-
 def _refine_floors(poly, inherited: list[int], lo: int, hi: int, roots_only: bool = False) -> list[int]:
     """One degree of _root_floors: poly evaluates the polynomial at an
     integer, and inherited are the sorted markers of its derivative, repeats
@@ -310,31 +305,37 @@ def _root_floors(coeffs: list[int], lo: int, hi: int, roots_only: bool = False) 
     multiplicity directly; two roots in one cell or a root next to a root
     endpoint via Rolle) and is covered by the inherited marker.
 
-    A quartic, the partner search's case, is unrolled with Horner inlined.
-    Its sign is normalised so that a4 > 0, which keeps every root. The roots
-    of p''/2 = 6 a4 t^2 + 3 a3 t + a2 are (m -+ s) / c with m = -3 a3,
+    Every degree up to 4 runs on one unrolled path with Horner inlined: the
+    coefficients are padded to a quartic a4..a0 and the sign normalised so
+    that a4 >= 0, which keeps every root. With a4 > 0 the roots of
+    p''/2 = 6 a4 t^2 + 3 a3 t + a2 are (m -+ s) / c with m = -3 a3,
     c = 12 a4 > 0 and s the square root of the discriminant, and since c is
     a positive integer their floors are (m - ceil(s)) // c and
-    (m + floor(s)) // c, both from isqrt.
+    (m + floor(s)) // c, both from isqrt. With a4 = 0, p''/2 = 3 a3 t + a2
+    is linear and its one root floor is -a2 // (3 a3); when a3 = 0 as well
+    p'' is constant and gives no marker. A longer coefficient list raises
+    ValueError.
     """
+    if len(coeffs) > 5:
+        raise ValueError("root isolation takes polynomials of degree at most 4")
     if lo > hi:
         return []
-    if len(coeffs) == 5:
-        a4, a3, a2, a1, a0 = coeffs if coeffs[0] > 0 else [-c for c in coeffs]
+    a4, a3, a2, a1, a0 = [0] * (5 - len(coeffs)) + coeffs
+    if a4 < 0:
+        a4, a3, a2, a1, a0 = -a4, -a3, -a2, -a1, -a0
+    markers = []
+    if a4:
         m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
-        markers = []
         if disc >= 0:
             s = isqrt(disc)
             markers = [f for f in ((m - s - (s * s < disc)) // c, (m + s) // c) if lo <= f <= hi]
-        b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
-        markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
-        return _refine_floors(
-            lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi, roots_only
-        )
-    if len(coeffs) == 1:
-        return []
-    inherited = _root_floors(_derivative(coeffs), lo, hi)
-    return _refine_floors(lambda t: _poly_eval(coeffs, t), inherited, lo, hi, roots_only)
+    elif a3 and lo <= -a2 // (3 * a3) <= hi:
+        markers = [-a2 // (3 * a3)]
+    b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
+    markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
+    return _refine_floors(
+        lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi, roots_only
+    )
 
 
 def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
@@ -345,7 +346,8 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
     lies. Exactness is unconditional: candidate locations come from exact
     sign-change isolation (see _root_floors) and a root is returned only
     where exact evaluation gives zero. Degenerate leading coefficients are
-    tolerated; the identically-zero polynomial is rejected.
+    tolerated; the identically-zero polynomial, and a degree above 4, are
+    rejected.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[0] == 0:

@@ -3,13 +3,15 @@
 The partner search scans only the columns x that a sign argument on
 sigma(k) = k1 / |k|^2 allows, and caps the x < 0 branch at
 n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma; find_partners
-proves the three branches and the cap. For
-each column the integer roots of the partner quartic are isolated exactly in
-that column's y window, every hit is reconfirmed with the exact resonance
-predicate, and the complementary leg n - k of every hit is added. The
-search disk |k| <= search_radius(n) = ceil(2 |n|^2 / |n1|), which follows
-from the triangle inequality on the three dispersion terms, is kept for the
-brute-force oracles.
+proves the three branches and the cap.
+
+A column (x, lo, hi) is solved in one place, _column_hits, by the exact
+integer roots of its partner quartic, each confirmed with is_resonant; its
+brute-force oracle _cell_hits tests every cell. find_partners solves the
+partner columns, and naive_partner_oracle scans the columns of the disk
+|k| <= search_radius(n) = ceil(2 |n|^2 / |n1|) (the triangle inequality on
+the three dispersion terms); both add the complement n - k of every hit.
+verify_axis_theorem solves, or scans, the whole disk of (n1, 0).
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
@@ -69,8 +71,8 @@ def search_radius(n) -> int:
     return -((-2 * b) // abs(n1))
 
 
-def _disk_columns(n) -> Iterator[tuple[int, int]]:
-    """Admissible columns (x, ymax) of the search disk of n.
+def _disk_columns(n) -> Iterator[tuple[int, int, int]]:
+    """Admissible columns (x, -ymax, ymax) of the search disk of n.
 
     The disk is x^2 + y^2 <= search_radius(n)^2, which rejects n1 = 0; the
     columns x = 0 and x = n1 are trivial interactions and are skipped.
@@ -80,7 +82,8 @@ def _disk_columns(n) -> Iterator[tuple[int, int]]:
     r2 = radius * radius
     for x in range(-radius, radius + 1):
         if x != 0 and x != n1:
-            yield x, isqrt(r2 - x * x)
+            ymax = isqrt(r2 - x * x)
+            yield x, -ymax, ymax
 
 
 def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
@@ -98,6 +101,22 @@ def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
     for x in range(1, n1):
         w = isqrt(b - x * x)
         yield x, -w, w
+
+
+def _column_hits(n, columns) -> Iterator[Wavenumber]:
+    """Resonant (x, y) of n in columns (x, lo, hi): the column solver."""
+    for x, lo, hi in columns:
+        for y in _integer_roots_between(quartic_coeffs(n, x), lo, hi):
+            if is_resonant(n, (x, y)):
+                yield Wavenumber(x, y)
+
+
+def _cell_hits(n, columns, predicate=is_resonant) -> Iterator[Wavenumber]:
+    """Brute-force oracle for _column_hits: predicate at every cell."""
+    for x, lo, hi in columns:
+        for y in range(lo, hi + 1):
+            if predicate(n, (x, y)):
+                yield Wavenumber(x, y)
 
 
 def find_partners(n) -> list[Wavenumber]:
@@ -125,22 +144,17 @@ def find_partners(n) -> list[Wavenumber]:
       = n1/|k|^2, so |k|^2 <= b; x runs over 1..n1-1 with
       |y| <= isqrt(b - x^2), and the larger leg is found as the complement.
 
-    Per column the quartic's integer roots are isolated exactly in the y
-    window, and every hit is confirmed with is_resonant before it is
-    accepted.
+    The columns are solved by _column_hits: per column the quartic's
+    integer roots are isolated exactly in the y window, and every hit is
+    confirmed with is_resonant before it is accepted.
     """
     n1, n2 = n
     if n1 == 0:
         raise ValueError("partner search requires a nonzero zonal component")
     if n1 < 0:
         return sorted(-k for k in find_partners((-n1, -n2)))
-    found: set[Wavenumber] = set()
-    for x, lo, hi in _partner_columns((n1, n2)):
-        for y in _integer_roots_between(quartic_coeffs((n1, n2), x), lo, hi):
-            if is_resonant((n1, n2), (x, y)):
-                found.add(Wavenumber(x, y))
-                found.add(Wavenumber(n1 - x, n2 - y))
-    return sorted(found)
+    n = Wavenumber(n1, n2)
+    return sorted({m for k in _column_hits(n, _partner_columns(n)) for m in (k, n - k)})
 
 
 def naive_partner_oracle(n) -> list[Wavenumber]:
@@ -149,14 +163,8 @@ def naive_partner_oracle(n) -> list[Wavenumber]:
     Intentionally simple and slow; this is the ground truth the fast search
     is validated against.
     """
-    n1, n2 = n
-    found: set[Wavenumber] = set()
-    for x, ymax in _disk_columns(n):
-        for y in range(-ymax, ymax + 1):
-            if is_resonant((n1, n2), (x, y)):
-                found.add(Wavenumber(x, y))
-                found.add(Wavenumber(n1 - x, n2 - y))
-    return sorted(found)
+    n = Wavenumber(*n)
+    return sorted({m for k in _cell_hits(n, _disk_columns(n)) for m in (k, n - k)})
 
 
 def _quadrant_points(max_norm: int) -> list[Wavenumber]:
@@ -193,6 +201,15 @@ def _header(max_norm: int) -> dict:
 def _cache_header(max_norm: int) -> dict:
     """The result header marked so that no reader takes a cache for a result."""
     return {**_header(max_norm), "schema": CACHE_SCHEMA, "kind": "cache"}
+
+
+def _wavenumbers(pairs) -> list[Wavenumber]:
+    """Wavenumbers read from JSON; ValueError unless every component is an
+    int, so that a true or a 1.0 is not taken for a 1."""
+    ws = [Wavenumber(*p) for p in pairs]
+    if any(type(c) is not int for w in ws for c in w):
+        raise ValueError(f"wavenumber components must be integers, got {pairs}")
+    return ws
 
 
 def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTriad]], int]:
@@ -236,8 +253,8 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             except ValueError:
                 continue
             try:
-                n = Wavenumber(*rec["n"])
-                done[n] = [ResonantTriad.from_members(*t) for t in rec["triads"]]
+                (n,) = _wavenumbers([rec["n"]])
+                done[n] = [ResonantTriad.from_members(*_wavenumbers(t)) for t in rec["triads"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
@@ -373,7 +390,7 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
                 raise ValueError(f'line {i}: a resume cache ("kind":"cache"), not a result file')
         if "triad" in rec:
             try:
-                triads.append(ResonantTriad.from_members(*rec["triad"]))
+                triads.append(ResonantTriad.from_members(*_wavenumbers(rec["triad"])))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {i}: not a triad record: {exc}") from exc
     return header or {}, triads

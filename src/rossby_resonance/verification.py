@@ -4,6 +4,9 @@ Each verifier sweeps an exhaustive range, records any counterexample, and
 reports counts and wall time. An empty counterexample list is the expected
 outcome for every claim; the harness exists to make that checkable at any
 desk-scale bound rather than taken on faith.
+
+The axis check runs partner_search's column solver _column_hits, or its
+brute-force oracle _cell_hits, over the whole disk of (n1, 0).
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from typing import Iterator
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
-    _integer_roots_between,
     _poly_eval,
     canonical_triad,
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import _disk_columns
+from .partner_search import _cell_hits, _column_hits, _disk_columns
 
 
 @dataclass
@@ -52,43 +54,16 @@ class VerificationReport:
         return doc
 
 
-def _axis_disk_scan_columns(n) -> tuple[int, list]:
-    """Exact sweep of the full search disk of n, one quartic per column.
-
-    Returns the number of disk cells and the resonant (x, y) among them.
-    """
-    checked = 0
-    hits = []
-    for x, ymax in _disk_columns(n):
-        checked += 2 * ymax + 1
-        for y in _integer_roots_between(quartic_coeffs(n, x), -ymax, ymax):
-            if is_resonant(n, (x, y)):
-                hits.append((x, y))
-    return checked, hits
-
-
-def _axis_disk_scan_scalar(n, predicate) -> tuple[int, list]:
-    """Brute-force oracle for _axis_disk_scan_columns: predicate at every cell."""
-    checked = 0
-    hits = []
-    for x, ymax in _disk_columns(n):
-        for y in range(-ymax, ymax + 1):
-            checked += 1
-            if predicate(n, (x, y)):
-                hits.append((x, y))
-    return checked, hits
-
-
 def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     """No purely zonal wavenumber admits a non-trivial resonant decomposition.
 
     For every n1 in [1, n1_max] the full search disk of (n1, 0) is swept and
-    each admissible (x, y) is asserted non-resonant. Negative n1 follows from
-    the zonal mirror symmetry. The sweep finds the exact integer roots of
-    each column's partner quartic, so it covers every disk cell at any
-    n1_max without relying on the branch bounds of find_partners; passing a
-    predicate (used by the harness self-test) switches to the brute-force
-    loop that calls it at every cell.
+    each admissible (x, y) is asserted non-resonant; checked counts the
+    cells. Negative n1 follows from the zonal mirror symmetry. Each disk
+    column is solved exactly by _column_hits, so the sweep covers every cell
+    at any n1_max without relying on the branch bounds of find_partners;
+    passing a predicate (used by the harness self-test) switches to the
+    brute-force oracle _cell_hits, which calls it at every cell.
     """
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
@@ -96,11 +71,10 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     checked = 0
     counterexamples: list = []
     for n1 in range(1, n1_max + 1):
-        if predicate is None:
-            c, hits = _axis_disk_scan_columns((n1, 0))
-        else:
-            c, hits = _axis_disk_scan_scalar((n1, 0), predicate)
-        checked += c
+        n = (n1, 0)
+        columns = list(_disk_columns(n))
+        checked += sum(hi - lo + 1 for _, lo, hi in columns)
+        hits = _column_hits(n, columns) if predicate is None else _cell_hits(n, columns, predicate)
         counterexamples.extend((n1, x, y) for x, y in hits)
     return VerificationReport(
         claim="axis-exclusion",

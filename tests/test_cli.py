@@ -146,6 +146,12 @@ MALFORMED_INPUTS = [
     (["stats", "--in"], '{"schema":1,"max_norm":-3,"quadrant":true}\n', "max_norm"),
     (["clusters", "--in"], '{"schema":1,"max_norm":2.5,"quadrant":true}\n', "max_norm"),
     (["clusters", "--in"], '{"schema":1,"max_norm":true,"quadrant":true}\n', "max_norm"),
+    # wavenumber components that are not ints: a JSON true or a float
+    (["clusters", "--in"], RESULT_HEADER + '{"triad":[[-9,23],[true,11],[8,-34]]}\n', "line 2"),
+    (["enumerate", "--max-norm", "12", "--cache"],
+     '{"schema":2,"max_norm":12,"quadrant":true,"kind":"cache"}\n'
+     '{"n":[true,11],"triads":[[[-9,23],[true,11],[8,-34]]]}\n', "line 2"),
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1.0,0],"triads":[]}\n', "line 2"),
 ]
 
 
@@ -156,7 +162,8 @@ MALFORMED_INPUTS = [
          "clusters-only-int", "stats-only-int", "cache-marker", "cache-short-triad",
          "cache-origin", "cache-outside-box", "cache-schema-1",
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
-         "header-max-norm-bool"],
+         "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
+         "cache-float-component"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"

@@ -3,10 +3,13 @@ import json
 import pytest
 
 from rossby_resonance.exact_core import Wavenumber, is_resonant
-from rossby_resonance.partner_search import naive_partner_oracle
+from rossby_resonance.partner_search import (
+    _cell_hits,
+    _column_hits,
+    _disk_columns,
+    naive_partner_oracle,
+)
 from rossby_resonance.verification import (
-    _axis_disk_scan_columns,
-    _axis_disk_scan_scalar,
     check_proof_identity,
     generate_family,
     verify_axis_theorem,
@@ -37,7 +40,7 @@ class TestAxisTheorem:
     def test_column_and_scalar_scans_agree_per_n1(self):
         for n1 in range(1, 31):
             n = (n1, 0)
-            assert _axis_disk_scan_columns(n) == _axis_disk_scan_scalar(n, is_resonant), n1
+            assert list(_column_hits(n, _disk_columns(n))) == list(_cell_hits(n, _disk_columns(n))), n1
 
     @pytest.mark.parametrize(
         "n, expected",
@@ -48,9 +51,8 @@ class TestAxisTheorem:
         # Off the axis the disk does hold resonant cells, so both scans must
         # report them; (8, 14) has both partners in 0 < x < n1.
         assert [tuple(k) for k in naive_partner_oracle(n)] == expected
-        columns = _axis_disk_scan_columns(n)
-        assert columns == _axis_disk_scan_scalar(n, is_resonant)
-        assert columns[1] == expected
+        assert list(_column_hits(n, _disk_columns(n))) == expected
+        assert list(_cell_hits(n, _disk_columns(n))) == expected
 
     def test_corrupted_predicate_is_caught(self):
         flipped_at = ((5, 0), (2, 3))
