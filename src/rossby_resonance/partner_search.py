@@ -15,7 +15,10 @@ verify_axis_theorem solves, or scans, the whole disk of (n1, 0).
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
-without affecting the output. Results can be streamed to a JSON Lines cache
+without affecting the output. Each source solves only its box columns: the
+x < 0 branch, less the in-box cells of the columns with n1 < |x| <= N,
+because every triad with a box member is found from one member that way;
+enumerate_lambda proves it. Results can be streamed to a JSON Lines cache
 so an interrupted run resumes where it stopped.
 
 The angular histogram of the resonant set lives here too; its binning is the
@@ -28,6 +31,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import atan2, isqrt, pi
 from typing import IO, Iterable, Iterator
 
@@ -86,6 +90,17 @@ def _disk_columns(n) -> Iterator[tuple[int, int, int]]:
             yield x, -ymax, ymax
 
 
+def _outer_columns(n) -> Iterator[tuple[int, int, int]]:
+    """Columns (x, lo, hi) of the x < 0 branch of the partner search of n,
+    for n1 > 0: every partner of n with x < 0 lies in one of them."""
+    n1, n2 = n
+    b = n1 * n1 + n2 * n2
+    cap = isqrt(isqrt(b**3 // (n1 * n1)))
+    for u in range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1):
+        w = isqrt((u * (b - u * n1) - 1) // n1)
+        yield n1 - u, n2 - w, n2 + w
+
+
 def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
     """Columns (x, lo, hi) of the partner search of n, for n1 > 0.
 
@@ -94,13 +109,29 @@ def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
     """
     n1, n2 = n
     b = n1 * n1 + n2 * n2
-    cap = isqrt(isqrt(b**3 // (n1 * n1)))
-    for u in range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1):
-        w = isqrt((u * (b - u * n1) - 1) // n1)
-        yield n1 - u, n2 - w, n2 + w
+    yield from _outer_columns(n)
     for x in range(1, n1):
         w = isqrt(b - x * x)
         yield x, -w, w
+
+
+def _box_columns(n, max_norm: int) -> Iterator[tuple[int, int, int]]:
+    """The part of _outer_columns(n) that the box enumeration searches.
+
+    A column with n1 < |x| <= max_norm keeps only its cells outside the box,
+    |y| > isqrt(max_norm^2 - x^2), in at most two windows; the other columns
+    are kept whole. enumerate_lambda proves that no triad is lost.
+    """
+    n1 = n[0]
+    for x, lo, hi in _outer_columns(n):
+        if -x <= n1 or -x > max_norm:
+            yield x, lo, hi
+            continue
+        t = isqrt(max_norm * max_norm - x * x)
+        if lo <= -t - 1:
+            yield x, lo, min(hi, -t - 1)
+        if hi >= t + 1:
+            yield x, max(lo, t + 1), hi
 
 
 def _column_hits(n, columns) -> Iterator[Wavenumber]:
@@ -177,9 +208,9 @@ def _quadrant_points(max_norm: int) -> list[Wavenumber]:
     return points
 
 
-def _worker(n: Wavenumber) -> tuple[Wavenumber, list[ResonantTriad]]:
-    """n with the canonical triads of all its decompositions, sorted."""
-    return n, sorted({canonical_triad(n, k) for k in find_partners(n)})
+def _worker(n: Wavenumber, max_norm: int) -> tuple[Wavenumber, list[ResonantTriad]]:
+    """n with the canonical triads it finds in its box columns, sorted."""
+    return n, sorted({canonical_triad(n, k) for k in _column_hits(n, _box_columns(n, max_norm))})
 
 
 def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
@@ -267,12 +298,34 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
 
 
 def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> EnumerationReport:
-    """Every resonant triad discoverable from box members |n| <= max_norm.
+    """Every resonant triad with a box member |n| <= max_norm = N.
 
     Work is restricted to the canonical quadrant and expanded by the sign
     symmetries afterwards. Identical inputs produce identical reports for
     any jobs value; the cache file, when given, is appended to as sources
     complete and consulted on the next run.
+
+    A source n does not run all of find_partners, only _column_hits over
+    _box_columns(n, N), and still every triad is found from one member.
+    Make each member's first component positive: s, m, l with
+    s1 <= m1 < l1 and l = s + m. Then m = l + (-s) and s = l + (-m) are
+    decompositions with a partner of negative first component, and such a
+    partner lies in _outer_columns (find_partners proves it).
+
+    - |m| <= N: source m finds k = -s at x = -s1 with |x| <= m1, a column
+      that _box_columns keeps whole.
+    - |m| > N, |s| <= N: source s finds k = -m at x = -m1. Either
+      |x| <= s1, a whole column, or |x| > N, also whole, or the cell lies
+      outside the box, |k| = |m| > N, which _box_columns keeps.
+    - only |l| <= N: impossible, since s and m are the legs of a
+      0 < x < l1 decomposition of l, and the smaller leg has norm at most
+      |l| (find_partners proves it).
+
+    A finding member with m2 < 0 or s2 < 0 is the mirror of a quadrant
+    point, which finds the mirrored triad; the expansion adds the mirrors.
+    So a source's cache line may hold only a part of the triads of its
+    partners; a line that holds all of them, as earlier versions wrote it,
+    resumes to the same report.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
@@ -296,16 +349,17 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             writer.flush()
 
     per_source: dict[Wavenumber, list[ResonantTriad]] = dict(cached)
+    worker = partial(_worker, max_norm=max_norm)
     try:
         if jobs == 1 or len(pending) < 2:
-            computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(_worker, pending)
+            computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(worker, pending)
             _collect(computed, per_source, writer)
         else:
             from multiprocessing import Pool  # here so that importing the package does not load it
 
             chunk = max(1, len(pending) // (jobs * 8))
             with Pool(processes=jobs) as pool:
-                _collect(pool.imap(_worker, pending, chunksize=chunk), per_source, writer)
+                _collect(pool.imap(worker, pending, chunksize=chunk), per_source, writer)
     finally:
         if writer is not None:
             writer.close()
@@ -319,7 +373,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     stats = {
         "quadrant_points": len(points),
         "cache_hits": len(points) - len(pending),
-        "quadrant_lambda": sum(1 for n in points if per_source[n]),
+        "quadrant_lambda": sum(1 for m in report.lambda_members if m.n1 > 0 and m.n2 >= 0),
         "triads": len(report.triads),
         "lambda_members": len(report.lambda_members),
         "jobs": jobs,

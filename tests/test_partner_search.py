@@ -7,12 +7,17 @@ from rossby_resonance.exact_core import (
     ResonantTriad,
     Wavenumber,
     _integer_roots_between,
+    canonical_triad,
     quartic_coeffs,
 )
 from rossby_resonance.partner_search import (
     EnumerationReport,
+    _box_columns,
+    _cache_header,
+    _dump_line,
     _partner_columns,
     _quadrant_points,
+    _worker,
     enumerate_lambda,
     find_partners,
     naive_partner_oracle,
@@ -38,6 +43,23 @@ def _uncapped_partners(n):
         for y in _integer_roots_between(quartic_coeffs(n, x), lo, hi):
             found.update({Wavenumber(x, y), Wavenumber(n1 - x, n2 - y)})
     return sorted(found)
+
+
+def _full_source_triads(n):
+    """The canonical triads of every partner of n, as the enumeration found
+    them when each source ran the whole of find_partners."""
+    return sorted({canonical_triad(n, k) for k in find_partners(n)})
+
+
+@pytest.fixture(scope="module")
+def every_source_union():
+    """The triads of every box-36 quadrant source with their mirrors: the
+    enumeration's result when every source searched all its partners."""
+    union = set()
+    for n in _quadrant_points(36):
+        for t in _full_source_triads(n):
+            union.update((t, t.mirrored()))
+    return union
 
 
 class TestSearchRadius:
@@ -97,6 +119,7 @@ class TestFindPartners:
         # one quartic per column: a work count that does not depend on the hardware
         assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 6298
         assert sum(1 for _ in _partner_columns((1, 60))) == 464
+        assert sum(1 for n in _quadrant_points(20) for _ in _box_columns(n, 20)) == 4138
 
     def test_gradient_cap_keeps_a_far_partner(self):
         # |x| = 15 against a cap of isqrt(isqrt(65**3)) = 22; a cap below 15 loses it
@@ -161,6 +184,17 @@ class TestEnumerateLambda:
         bigger = enumerate_lambda(14)
         assert set(report12.lambda_members) <= set(bigger.lambda_members)
         assert set(report12.triads) <= set(bigger.triads)
+
+    @pytest.mark.parametrize("max_norm", [*range(1, 26), 34, 36])
+    def test_matches_every_source_union(self, every_source_union, max_norm):
+        # the box columns of each source find every triad with a box member
+        m2 = max_norm * max_norm
+        expected = {t for t in every_source_union if any(m.norm2() <= m2 for m in t.members())}
+        assert enumerate_lambda(max_norm).triads == expected
+
+    def test_quadrant_lambda(self, report12):
+        assert report12.stats["quadrant_lambda"] == 3
+        assert enumerate_lambda(20).stats["quadrant_lambda"] == 9
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -256,6 +290,29 @@ class TestCache:
         with pytest.raises(ValueError):
             enumerate_lambda(12, cache_path=cache)
         assert cache.read_text() == header[:-1]
+
+    @pytest.mark.parametrize("writers", ["full", "mixed"])
+    def test_resume_from_full_source_lines(self, tmp_path, writers):
+        # A cache line may hold all the triads of its source's partners, as
+        # written before the enumeration searched box columns only: a
+        # superset of what it writes now, so either line resumes the same.
+        fresh = enumerate_lambda(20)
+        points = _quadrant_points(20)
+        half = points[: len(points) // 2]
+        full = {n: _full_source_triads(n) for n in half}
+        box = dict(_worker(n, 20) for n in half)
+        assert all(set(box[n]) <= set(full[n]) for n in half)
+        assert any(box[n] != full[n] for n in half[::2])
+        lines = [_dump_line(_cache_header(20))]
+        for i, n in enumerate(half):
+            triads = full[n] if writers == "full" or i % 2 == 0 else box[n]
+            lines.append(_dump_line({"n": n, "triads": [t.members() for t in triads]}))
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join(lines) + "\n")
+        resumed = enumerate_lambda(20, cache_path=cache)
+        assert resumed.stats["cache_hits"] == len(half)
+        assert resumed.stats["quadrant_lambda"] == fresh.stats["quadrant_lambda"]
+        assert report_to_jsonl(resumed) == report_to_jsonl(fresh)
 
     def test_mismatched_cache_rejected(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
