@@ -96,13 +96,8 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("clusters", help="connected components of the resonance graph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="in_path", metavar="PATH")
-    src.add_argument("--max-norm", type=_positive_int)
-    p.add_argument("--jobs", type=_positive_int, default=defaults["jobs"])
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=_cmd_clusters)
+    _add_report_command(sub, "clusters", "connected components of the resonance graph",
+                        _cmd_clusters, defaults)
 
     p = sub.add_parser("verify-axis", help="sweep the zonal axis for resonant decompositions")
     p.add_argument("--max", dest="n1_max", type=_positive_int, required=True)
@@ -127,16 +122,24 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("stats", help="angular histogram of resonant-set members")
+    _add_report_command(sub, "stats", "angular histogram of resonant-set members",
+                        _cmd_stats, defaults, bins=True)
+
+    return parser
+
+
+def _add_report_command(sub, name, help_text, func, defaults, bins=False) -> None:
+    """A subcommand that reads a result file (--in) or enumerates a box
+    (--max-norm, --jobs); see _load_report."""
+    p = sub.add_parser(name, help=help_text)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="in_path", metavar="PATH")
     src.add_argument("--max-norm", type=_positive_int)
-    p.add_argument("--bins", type=_positive_int, default=defaults["bins"])
+    if bins:
+        p.add_argument("--bins", type=_positive_int, default=defaults["bins"])
     p.add_argument("--jobs", type=_positive_int, default=defaults["jobs"])
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=_cmd_stats)
-
-    return parser
+    p.set_defaults(func=func)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -188,7 +191,10 @@ def _cmd_stats(args) -> int:
 def _load_report(args) -> EnumerationReport:
     if args.in_path is not None:
         with open(args.in_path, "r", encoding="utf-8") as fh:
-            header, triads = read_triads_jsonl(fh)
+            try:
+                header, triads = read_triads_jsonl(fh)
+            except ValueError as exc:  # a malformed record, or bytes that are not UTF-8
+                raise ValueError(f"{args.in_path}: {exc}") from exc
         max_norm = header.get("max_norm")
         if type(max_norm) is not int or max_norm < 1:
             raise ValueError(

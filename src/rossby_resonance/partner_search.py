@@ -15,11 +15,11 @@ verify_axis_theorem solves, or scans, the whole disk of (n1, 0).
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
-without affecting the output. Each source solves only its box columns: the
-x < 0 branch, less the in-box cells of the columns with n1 < |x| <= N,
-because every triad with a box member is found from one member that way;
-enumerate_lambda proves it. Results can be streamed to a JSON Lines cache
-so an interrupted run resumes where it stopped.
+without affecting the output. Each source solves only its x < 0 branch,
+_outer_columns, because every triad with a box member is found that way
+from a member in the box; enumerate_lambda proves it. Results can be
+streamed to a JSON Lines cache so an interrupted run resumes where it
+stopped.
 
 The angular histogram of the resonant set lives here too; its binning is the
 package's only floating point, and no verdict depends on it.
@@ -31,7 +31,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from math import atan2, isqrt, pi
 from typing import IO, Iterable, Iterator
 
@@ -115,25 +114,6 @@ def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
         yield x, -w, w
 
 
-def _box_columns(n, max_norm: int) -> Iterator[tuple[int, int, int]]:
-    """The part of _outer_columns(n) that the box enumeration searches.
-
-    A column with n1 < |x| <= max_norm keeps only its cells outside the box,
-    |y| > isqrt(max_norm^2 - x^2), in at most two windows; the other columns
-    are kept whole. enumerate_lambda proves that no triad is lost.
-    """
-    n1 = n[0]
-    for x, lo, hi in _outer_columns(n):
-        if -x <= n1 or -x > max_norm:
-            yield x, lo, hi
-            continue
-        t = isqrt(max_norm * max_norm - x * x)
-        if lo <= -t - 1:
-            yield x, lo, min(hi, -t - 1)
-        if hi >= t + 1:
-            yield x, max(lo, t + 1), hi
-
-
 def _column_hits(n, columns) -> Iterator[Wavenumber]:
     """Resonant (x, y) of n in columns (x, lo, hi): the column solver."""
     for x, lo, hi in columns:
@@ -208,9 +188,9 @@ def _quadrant_points(max_norm: int) -> list[Wavenumber]:
     return points
 
 
-def _worker(n: Wavenumber, max_norm: int) -> tuple[Wavenumber, list[ResonantTriad]]:
-    """n with the canonical triads it finds in its box columns, sorted."""
-    return n, sorted({canonical_triad(n, k) for k in _column_hits(n, _box_columns(n, max_norm))})
+def _worker(n: Wavenumber) -> tuple[Wavenumber, list[ResonantTriad]]:
+    """n with the canonical triads it finds in its x < 0 branch, sorted."""
+    return n, sorted({canonical_triad(n, k) for k in _column_hits(n, _outer_columns(n))})
 
 
 def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
@@ -265,7 +245,7 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             return {}, 0
         try:
             header = json.loads(first)
-        except json.JSONDecodeError:
+        except ValueError:
             raise ValueError(f"cache file {path} has a corrupt header line")
         if header != _cache_header(max_norm):
             raise ValueError(
@@ -305,27 +285,19 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     any jobs value; the cache file, when given, is appended to as sources
     complete and consulted on the next run.
 
-    A source n does not run all of find_partners, only _column_hits over
-    _box_columns(n, N), and still every triad is found from one member.
-    Make each member's first component positive: s, m, l with
-    s1 <= m1 < l1 and l = s + m. Then m = l + (-s) and s = l + (-m) are
-    decompositions with a partner of negative first component, and such a
-    partner lies in _outer_columns (find_partners proves it).
+    A source n solves only its x < 0 branch, _outer_columns(n). Write a
+    triad's members with positive first components as s, m and l = s + m:
+    m finds -s and s finds -m in that branch, and by the middle-branch
+    lemma of find_partners min(|s|, |m|) <= |l|, so a triad with a box
+    member has s or m in the box. A member with a negative second component
+    is the mirror of a quadrant point, which finds the mirrored triad; the
+    expansion adds the mirrors.
 
-    - |m| <= N: source m finds k = -s at x = -s1 with |x| <= m1, a column
-      that _box_columns keeps whole.
-    - |m| > N, |s| <= N: source s finds k = -m at x = -m1. Either
-      |x| <= s1, a whole column, or |x| > N, also whole, or the cell lies
-      outside the box, |k| = |m| > N, which _box_columns keeps.
-    - only |l| <= N: impossible, since s and m are the legs of a
-      0 < x < l1 decomposition of l, and the smaller leg has norm at most
-      |l| (find_partners proves it).
-
-    A finding member with m2 < 0 or s2 < 0 is the mirror of a quadrant
-    point, which finds the mirrored triad; the expansion adds the mirrors.
     So a source's cache line may hold only a part of the triads of its
-    partners; a line that holds all of them, as earlier versions wrote it,
-    resumes to the same report.
+    partners. Lines that earlier versions wrote, with every partner's triad
+    or with the in-box cells of the columns n1 < |x| <= N left out, resume
+    to the same report: every line holds at least the trimmed one, and the
+    trimmed lines alone reach every triad.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
@@ -349,17 +321,16 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             writer.flush()
 
     per_source: dict[Wavenumber, list[ResonantTriad]] = dict(cached)
-    worker = partial(_worker, max_norm=max_norm)
     try:
         if jobs == 1 or len(pending) < 2:
-            computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(worker, pending)
+            computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(_worker, pending)
             _collect(computed, per_source, writer)
         else:
             from multiprocessing import Pool  # here so that importing the package does not load it
 
             chunk = max(1, len(pending) // (jobs * 8))
             with Pool(processes=jobs) as pool:
-                _collect(pool.imap(worker, pending, chunksize=chunk), per_source, writer)
+                _collect(pool.imap(_worker, pending, chunksize=chunk), per_source, writer)
     finally:
         if writer is not None:
             writer.close()

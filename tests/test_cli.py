@@ -152,6 +152,11 @@ MALFORMED_INPUTS = [
      '{"schema":2,"max_norm":12,"quadrant":true,"kind":"cache"}\n'
      '{"n":[true,11],"triads":[[[-9,23],[true,11],[8,-34]]]}\n', "line 2"),
     (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1.0,0],"triads":[]}\n', "line 2"),
+    # bytes that are not UTF-8: the message names the file
+    (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
+     "input.jsonl has a corrupt header line"),
+    (["clusters", "--in"], b"\x89PNG\r\n\x1a\n", "input.jsonl"),
+    (["stats", "--in"], b"\x89PNG\r\n\x1a\n", "input.jsonl"),
 ]
 
 
@@ -163,14 +168,15 @@ MALFORMED_INPUTS = [
          "cache-origin", "cache-outside-box", "cache-schema-1",
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
-         "cache-float-component"],
+         "cache-float-component", "cache-binary", "clusters-binary", "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
-    path.write_text(text)
+    data = text if isinstance(text, bytes) else text.encode()
+    path.write_bytes(data)
     assert run([*argv, str(path)]) == 2
     assert where in capsys.readouterr().err
-    assert path.read_text() == text
+    assert path.read_bytes() == data
 
 
 class TestVerifySubcommands:

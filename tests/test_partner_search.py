@@ -12,9 +12,10 @@ from rossby_resonance.exact_core import (
 )
 from rossby_resonance.partner_search import (
     EnumerationReport,
-    _box_columns,
     _cache_header,
+    _column_hits,
     _dump_line,
+    _outer_columns,
     _partner_columns,
     _quadrant_points,
     _worker,
@@ -49,6 +50,14 @@ def _full_source_triads(n):
     """The canonical triads of every partner of n, as the enumeration found
     them when each source ran the whole of find_partners."""
     return sorted({canonical_triad(n, k) for k in find_partners(n)})
+
+
+def _trimmed_source_triads(n, max_norm):
+    """The canonical triads of n as the enumeration found them when each
+    source trimmed the in-box cells of its columns n1 < |x| <= max_norm."""
+    hits = _column_hits(n, _outer_columns(n))
+    return sorted({canonical_triad(n, k) for k in hits
+                   if -k.n1 <= n.n1 or k.norm2() > max_norm * max_norm})
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +128,7 @@ class TestFindPartners:
         # one quartic per column: a work count that does not depend on the hardware
         assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 6298
         assert sum(1 for _ in _partner_columns((1, 60))) == 464
-        assert sum(1 for n in _quadrant_points(20) for _ in _box_columns(n, 20)) == 4138
+        assert sum(1 for n in _quadrant_points(20) for _ in _outer_columns(n)) == 3836
 
     def test_gradient_cap_keeps_a_far_partner(self):
         # |x| = 15 against a cap of isqrt(isqrt(65**3)) = 22; a cap below 15 loses it
@@ -291,22 +300,30 @@ class TestCache:
             enumerate_lambda(12, cache_path=cache)
         assert cache.read_text() == header[:-1]
 
-    @pytest.mark.parametrize("writers", ["full", "mixed"])
+    @pytest.mark.parametrize("writers", ["full", "trimmed", "mixed"])
     def test_resume_from_full_source_lines(self, tmp_path, writers):
-        # A cache line may hold all the triads of its source's partners, as
-        # written before the enumeration searched box columns only: a
-        # superset of what it writes now, so either line resumes the same.
+        # Earlier versions wrote, per source, the triads of all its partners
+        # or of its x < 0 branch less the in-box cells of the columns
+        # n1 < |x| <= N. Both hold at least the trimmed line, and the trimmed
+        # lines alone reach every triad, so any mix resumes the same.
         fresh = enumerate_lambda(20)
         points = _quadrant_points(20)
         half = points[: len(points) // 2]
-        full = {n: _full_source_triads(n) for n in half}
-        box = dict(_worker(n, 20) for n in half)
-        assert all(set(box[n]) <= set(full[n]) for n in half)
-        assert any(box[n] != full[n] for n in half[::2])
+        line = {
+            "full": {n: _full_source_triads(n) for n in half},
+            "trimmed": {n: _trimmed_source_triads(n, 20) for n in half},
+            "outer": dict(_worker(n) for n in half),
+        }
+        outer = line["outer"]
+        assert all(set(line["trimmed"][n]) <= set(outer[n]) <= set(line["full"][n]) for n in half)
+        kinds = ("full", "outer", "trimmed") if writers == "mixed" else (writers,)
+        writer = {n: kinds[i % len(kinds)] for i, n in enumerate(half)}
+        # each earlier writer lands on a source whose line differs from today's
+        for k in set(kinds) - {"outer"}:
+            assert any(line[k][n] != outer[n] for n in half if writer[n] == k), k
         lines = [_dump_line(_cache_header(20))]
-        for i, n in enumerate(half):
-            triads = full[n] if writers == "full" or i % 2 == 0 else box[n]
-            lines.append(_dump_line({"n": n, "triads": [t.members() for t in triads]}))
+        for n in half:
+            lines.append(_dump_line({"n": n, "triads": [t.members() for t in line[writer[n]][n]]}))
         cache = tmp_path / "cache.jsonl"
         cache.write_text("\n".join(lines) + "\n")
         resumed = enumerate_lambda(20, cache_path=cache)
