@@ -8,7 +8,6 @@ from .cluster_graph import (
     NO_SCALING_DETECTED,
     SCALING_FAMILY_DETECTED,
     Cluster,
-    SignClass,
     build_components,
     flag_scaling,
     order_clusters,
@@ -25,6 +24,7 @@ from .exact_core import (
     quartic_coeffs,
     residual,
     sigma,
+    sign_class,
 )
 from .partner_search import (
     AngularHistogram,

@@ -259,6 +259,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if getattr(args, "out", None) is not None:
+            # an unwritable --out fails before the work; append keeps any old content
+            open(args.out, "a", encoding="utf-8").close()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Connected components of the resonance graph over sign-classes.
 
-Nodes are sign-classes {n, -n} (the dispersion surrogate is odd in n, so a
-wavenumber resonates exactly when its negation does); each triad contributes
-a 3-clique. Components from a finite enumeration box may split clusters that
-are only connected through triads outside the box, so every report carries
-the box bound and a truncation disclaimer.
+Nodes are sign-classes {n, -n}, each the Wavenumber sign_class(n) with
+n1 > 0 (the dispersion surrogate is odd in n, so a wavenumber resonates
+exactly when its negation does); each triad contributes a 3-clique.
+Components from a finite enumeration box may split clusters that are only
+connected through triads outside the box, so every report carries the box
+bound and a truncation disclaimer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exact_core import ResonantTriad, Wavenumber
+from .exact_core import ResonantTriad, Wavenumber, sign_class
 
 SCALING_FAMILY_DETECTED = "scaling-family-detected"
 NO_SCALING_DETECTED = "no-scaling-detected"
@@ -24,99 +25,55 @@ TRUNCATION_NOTE = (
 )
 
 
-class SignClass(tuple):
-    """Canonical representative of {n, -n}, normalized to rep.n1 > 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, w):
-        w = Wavenumber(*w)
-        if w.n1 == 0:
-            raise ValueError("sign-classes require a nonzero zonal component")
-        return super().__new__(cls, (w if w.n1 > 0 else -w,))
-
-    @property
-    def rep(self) -> Wavenumber:
-        return self[0]
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One connected component: members, inducing triads, norm signature.
 
+    members are sign classes, each held as its sign_class (n1 > 0).
     lambda_seq is the ascending list of distinct squared norms of the
     members; it is the primary sort key between clusters.
     """
 
-    members: frozenset[SignClass]
+    members: frozenset[Wavenumber]
     triads: frozenset[ResonantTriad]
     lambda_seq: tuple[int, ...]
 
 
-class _UnionFind:
-    """Union by size with path compression over hashable items."""
-
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
-
-    def add(self, item) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-    def items(self):
-        return self._parent.keys()
-
-
 def build_components(triads: Iterable[ResonantTriad]) -> list[Cluster]:
     """Connected components of the triad 3-clique graph, in canonical order."""
-    uf = _UnionFind()
-    triad_list = []
+    parent: dict[Wavenumber, Wavenumber] = {}
+
+    def find(w: Wavenumber) -> Wavenumber:
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    edges = []
     for triad in triads:
         if not isinstance(triad, ResonantTriad):
             triad = ResonantTriad.from_members(*triad)
-        triad_list.append(triad)
-        classes = [SignClass(m) for m in triad.members()]
-        for c in classes:
-            uf.add(c)
-        uf.union(classes[0], classes[1])
-        uf.union(classes[0], classes[2])
+        classes = [sign_class(m) for m in triad.members()]
+        edges.append((triad, classes))
+        for w in classes:
+            parent.setdefault(w, w)
+        root = find(classes[0])
+        for w in classes[1:]:
+            parent[find(w)] = root
 
-    members_by_root: dict = {}
-    for c in uf.items():
-        members_by_root.setdefault(uf.find(c), set()).add(c)
-    triads_by_root: dict = {}
-    for triad in triad_list:
-        root = uf.find(SignClass(triad.a))
-        triads_by_root.setdefault(root, set()).add(triad)
-
-    clusters = [
+    components: dict = {}
+    for triad, classes in edges:
+        members, triad_set = components.setdefault(find(classes[0]), (set(), set()))
+        members.update(classes)
+        triad_set.add(triad)
+    return order_clusters([
         Cluster(
             members=frozenset(members),
-            triads=frozenset(triads_by_root.get(root, set())),
-            lambda_seq=tuple(sorted({c.rep.norm2() for c in members})),
+            triads=frozenset(triad_set),
+            lambda_seq=tuple(sorted({w.norm2() for w in members})),
         )
-        for root, members in members_by_root.items()
-    ]
-    return order_clusters(clusters)
+        for members, triad_set in components.values()
+    ])
 
 
 def order_clusters(clusters: list[Cluster]) -> list[Cluster]:
@@ -135,9 +92,9 @@ def flag_scaling(cluster: Cluster) -> str:
     another. A positive flag witnesses infinitude of the ambient cluster in
     the unbounded lattice; a negative flag proves nothing.
     """
-    reps = sorted(c.rep for c in cluster.members)
-    for i, small in enumerate(reps):
-        for big in reps[i + 1:]:
+    members = sorted(cluster.members)
+    for i, small in enumerate(members):
+        for big in members[i + 1:]:
             if big.n1 % small.n1 == 0:
                 j = big.n1 // small.n1
                 if j >= 2 and big.n2 == j * small.n2:
@@ -153,7 +110,7 @@ def clusters_to_json(clusters: list[Cluster], max_norm: int | None) -> str:
         "truncation_note": TRUNCATION_NOTE,
         "clusters": [
             {
-                "members": [[c.rep.n1, c.rep.n2] for c in sorted(cluster.members)],
+                "members": [[w.n1, w.n2] for w in sorted(cluster.members)],
                 "lambda_seq": list(cluster.lambda_seq),
                 "triads": [
                     [[m.n1, m.n2] for m in t.members()] for t in sorted(cluster.triads)

@@ -67,6 +67,17 @@ class Wavenumber(NamedTuple):
         return Wavenumber(self.n1, -self.n2)
 
 
+def sign_class(w) -> Wavenumber:
+    """The sign class {w, -w}, represented by its member with n1 > 0.
+
+    sigma is odd in n, so w resonates exactly when -w does.
+    """
+    w = Wavenumber(*w)
+    if w.n1 == 0:
+        raise ValueError("sign-classes require a nonzero zonal component")
+    return w if w.n1 > 0 else -w
+
+
 class ReducedFraction(Fraction):
     """Exact rational in lowest terms with denominator >= 1; zero is 0/1.
 

@@ -41,6 +41,7 @@ from .exact_core import (
     canonical_triad,
     is_resonant,
     quartic_coeffs,
+    sign_class,
 )
 
 JSONL_SCHEMA = 1
@@ -369,11 +370,7 @@ def _collect(results, per_source, writer) -> None:
 def _box_source(triad: ResonantTriad, max_norm: int) -> Wavenumber:
     """Smallest sign-normalized box member of the triad: its box anchor."""
     m2 = max_norm * max_norm
-    candidates = []
-    for m in triad.members():
-        s = m if m.n1 > 0 else -m
-        if s.norm2() <= m2:
-            candidates.append(s)
+    candidates = [s for s in map(sign_class, triad.members()) if s.norm2() <= m2]
     if not candidates:
         raise ValueError("triad has no member inside the box")
     return min(candidates)

@@ -122,6 +122,30 @@ class TestClusters:
         assert "resume cache" in capsys.readouterr().err
 
 
+    def test_failed_run_keeps_an_existing_out_file(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        out.write_text("earlier result\n")
+        assert run(["clusters", "--in", str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 2
+        assert out.read_text() == "earlier result\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-norm", "45"],
+    ["verify-axis", "--max", "120"],
+], ids=["enumerate", "verify-axis"])
+def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        pytest.fail("the computation ran before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_lambda", no_work)
+    monkeypatch.setattr(cli, "verify_axis_theorem", no_work)
+    out = tmp_path / "no-such-dir" / "x"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no-such-dir" in captured.err
+
+
 RESULT_HEADER = '{"schema":1,"max_norm":5,"quadrant":true}\n'
 CACHE_HEADER = '{"schema":2,"max_norm":5,"quadrant":true,"kind":"cache"}\n'
 MALFORMED_INPUTS = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,13 +8,13 @@ from rossby_resonance.cluster_graph import (
     NO_SCALING_DETECTED,
     SCALING_FAMILY_DETECTED,
     Cluster,
-    SignClass,
     build_components,
     clusters_to_json,
     flag_scaling,
     order_clusters,
 )
-from rossby_resonance.exact_core import ResonantTriad, Wavenumber
+from rossby_resonance.exact_core import ResonantTriad, Wavenumber, sign_class
+from rossby_resonance.partner_search import enumerate_lambda
 
 
 def _triad(triple):
@@ -23,21 +24,24 @@ def _triad(triple):
 OMEGA1_TRIAD = _triad(FINITE_CLUSTER_1)
 OMEGA2_TRIADS = [_triad(t) for t in FINITE_CLUSTER_2_TRIADS]
 
+# sha256 of clusters_to_json(build_components(enumerate_lambda(35).triads), 35)
+BOX35_CLUSTERS_SHA256 = "82c2f66dfdc62c766152495a5c5062fef424ed2bcd3df24f286624b590fb088b"
+
 
 class TestSignClass:
     def test_normalizes_to_positive_zonal(self):
-        assert SignClass((-8, 34)).rep == Wavenumber(8, -34)
-        assert SignClass((8, -34)).rep == Wavenumber(8, -34)
-        assert SignClass((-8, 34)) == SignClass((8, -34))
+        assert sign_class((-8, 34)) == Wavenumber(8, -34)
+        assert sign_class((8, -34)) == Wavenumber(8, -34)
+        assert sign_class((-8, 34)) == sign_class((8, -34))
 
     def test_rejects_zero_zonal(self):
         with pytest.raises(ValueError):
-            SignClass((0, 4))
+            sign_class((0, 4))
 
     def test_hashable_and_sortable(self):
-        classes = {SignClass((1, 11)), SignClass((-1, -11)), SignClass((3, 19))}
+        classes = {sign_class((1, 11)), sign_class((-1, -11)), sign_class((3, 19))}
         assert len(classes) == 2
-        assert sorted(classes)[0].rep == Wavenumber(1, 11)
+        assert sorted(classes)[0] == Wavenumber(1, 11)
 
 
 class TestBuildComponents:
@@ -45,12 +49,12 @@ class TestBuildComponents:
         comps = build_components([OMEGA1_TRIAD] + OMEGA2_TRIADS)
         assert [len(c.members) for c in comps] == [3, 5]
         first, second = comps
-        assert {c.rep for c in first.members} == {
+        assert first.members == {
             Wavenumber(1, 11),
             Wavenumber(8, -34),
             Wavenumber(9, -23),
         }
-        assert {c.rep for c in second.members} == {
+        assert second.members == {
             Wavenumber(3, 19),
             Wavenumber(32, -44),
             Wavenumber(35, -25),
@@ -85,7 +89,7 @@ class TestBuildComponents:
         for c in comps:
             assert not (c.members & seen)
             seen |= c.members
-        all_classes = {SignClass(w) for t in report.triads for w in t.members()}
+        all_classes = {sign_class(w) for t in report.triads for w in t.members()}
         assert seen == all_classes
 
     def test_rebuild_is_idempotent(self, report60):
@@ -122,7 +126,7 @@ class TestOrderClusters:
 class TestFlagScaling:
     def test_detects_integer_multiple(self):
         cluster = Cluster(
-            members=frozenset({SignClass((16, 2)), SignClass((-32, -4))}),
+            members=frozenset({sign_class((16, 2)), sign_class((-32, -4))}),
             triads=frozenset(),
             lambda_seq=(260, 1040),
         )
@@ -138,7 +142,7 @@ class TestFlagScaling:
 
     def test_non_multiple_pairs_ignored(self):
         cluster = Cluster(
-            members=frozenset({SignClass((2, 3)), SignClass((4, 5))}),
+            members=frozenset({sign_class((2, 3)), sign_class((4, 5))}),
             triads=frozenset(),
             lambda_seq=(13, 41),
         )
@@ -162,3 +166,11 @@ class TestClusterReport:
         assert clusters_to_json(build_components(triads), 60) == clusters_to_json(
             build_components(list(reversed(triads))), 60
         )
+
+    @pytest.mark.parametrize("order", ["enumerated", "reversed"])
+    def test_box35_document_is_pinned(self, order):
+        triads = list(enumerate_lambda(35).triads)
+        if order == "reversed":
+            triads.reverse()
+        doc = clusters_to_json(build_components(triads), 35)
+        assert hashlib.sha256(doc.encode()).hexdigest() == BOX35_CLUSTERS_SHA256

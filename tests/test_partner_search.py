@@ -300,34 +300,39 @@ class TestCache:
             enumerate_lambda(12, cache_path=cache)
         assert cache.read_text() == header[:-1]
 
-    @pytest.mark.parametrize("writers", ["full", "trimmed", "mixed"])
+    @pytest.mark.parametrize("writers", ["full", "trimmed", "mixed", "every-trimmed"])
     def test_resume_from_full_source_lines(self, tmp_path, writers):
         # Earlier versions wrote, per source, the triads of all its partners
         # or of its x < 0 branch less the in-box cells of the columns
         # n1 < |x| <= N. Both hold at least the trimmed line, and the trimmed
-        # lines alone reach every triad, so any mix resumes the same.
+        # lines alone reach every triad, so any mix resumes the same. The
+        # other cases cache the first half of the quadrant; "every-trimmed"
+        # caches a trimmed line for every source, so nothing is recomputed.
         fresh = enumerate_lambda(20)
         points = _quadrant_points(20)
-        half = points[: len(points) // 2]
+        cached = points if writers == "every-trimmed" else points[: len(points) // 2]
         line = {
-            "full": {n: _full_source_triads(n) for n in half},
-            "trimmed": {n: _trimmed_source_triads(n, 20) for n in half},
-            "outer": dict(_worker(n) for n in half),
+            "full": {n: _full_source_triads(n) for n in cached},
+            "trimmed": {n: _trimmed_source_triads(n, 20) for n in cached},
+            "outer": dict(_worker(n) for n in cached),
         }
         outer = line["outer"]
-        assert all(set(line["trimmed"][n]) <= set(outer[n]) <= set(line["full"][n]) for n in half)
-        kinds = ("full", "outer", "trimmed") if writers == "mixed" else (writers,)
-        writer = {n: kinds[i % len(kinds)] for i, n in enumerate(half)}
+        assert all(set(line["trimmed"][n]) <= set(outer[n]) <= set(line["full"][n]) for n in cached)
+        kinds = {"mixed": ("full", "outer", "trimmed"), "every-trimmed": ("trimmed",)}.get(
+            writers, (writers,))
+        writer = {n: kinds[i % len(kinds)] for i, n in enumerate(cached)}
         # each earlier writer lands on a source whose line differs from today's
         for k in set(kinds) - {"outer"}:
-            assert any(line[k][n] != outer[n] for n in half if writer[n] == k), k
+            assert any(line[k][n] != outer[n] for n in cached if writer[n] == k), k
         lines = [_dump_line(_cache_header(20))]
-        for n in half:
+        for n in cached:
             lines.append(_dump_line({"n": n, "triads": [t.members() for t in line[writer[n]][n]]}))
         cache = tmp_path / "cache.jsonl"
         cache.write_text("\n".join(lines) + "\n")
         resumed = enumerate_lambda(20, cache_path=cache)
-        assert resumed.stats["cache_hits"] == len(half)
+        assert resumed.stats["cache_hits"] == len(cached)
+        if writers == "every-trimmed":
+            assert len(cached) == resumed.stats["quadrant_points"] == 314
         assert resumed.stats["quadrant_lambda"] == fresh.stats["quadrant_lambda"]
         assert report_to_jsonl(resumed) == report_to_jsonl(fresh)
 
