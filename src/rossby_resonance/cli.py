@@ -13,6 +13,7 @@ Only the keys jobs, bins and seed may appear in the config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -258,12 +259,22 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    out = getattr(args, "out", None)
+    created = False
     try:
-        if getattr(args, "out", None) is not None:
-            # an unwritable --out fails before the work; append keeps any old content
-            open(args.out, "a", encoding="utf-8").close()
+        if out is not None:
+            # an unwritable --out fails before the work; an existing file keeps its content
+            try:
+                open(out, "x", encoding="utf-8").close()
+                created = True
+            except FileExistsError:
+                open(out, "a", encoding="utf-8").close()
         return args.func(args)
     except (ValueError, OSError) as exc:
+        if created:
+            # a failed command leaves no new file behind
+            with contextlib.suppress(OSError):
+                os.remove(out)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,9 @@ A pair (n, k) is a non-trivial resonance when n1, k1 and n1 - k1 are all
 nonzero and sigma(n) - sigma(k) - sigma(n - k) = 0 exactly. Cross-multiplying
 the three fractions turns that relation, for fixed n and first component x of
 k, into a quartic in the second component y with integer coefficients; the
-quartic is the workhorse of the fast partner search.
+quartic is the workhorse of the fast partner search. Read as Gaussian
+integers, the same relation is a norm equation whose solutions the
+factorisation of |n|^2 lists (gaussian_norm_solutions), with no columns.
 
 No floating point appears anywhere on a verdict path.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -376,3 +379,117 @@ def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     return _integer_roots_between(p, -bound, bound)
+
+
+def _factor(m: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of m >= 1 by trial division."""
+    if m < 1:
+        raise ValueError("only integers >= 1 are factored")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def _gmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """Product of the Gaussian integers z = z0 + i z1 and w."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _gpow(z: tuple[int, int], e: int) -> tuple[int, int]:
+    acc = (1, 0)
+    for _ in range(e):
+        acc = _gmul(acc, z)
+    return acc
+
+
+@lru_cache(maxsize=1 << 14)  # bounded: the primes met grow with the inputs
+def _split_prime(p: int) -> tuple[int, int]:
+    """(a, b) with a^2 + b^2 = p, for a prime p = 1 (mod 4).
+
+    t = c^((p - 1)/4) is a square root of -1 mod p for any quadratic
+    non-residue c, and the Euclidean algorithm on (p, t) stops at its first
+    remainder a below sqrt(p), which is one of the two squares
+    (Hermite-Serret).
+    """
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r, a = p, pow(c, (p - 1) // 4, p)
+    root = isqrt(p)
+    while a > root:
+        r, a = a, r % a
+    return a, isqrt(p - a * a)
+
+
+def gaussian_norm_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """Every Gaussian integer G = (g1, g2) with g1^2 + g2^2 = prod p^e.
+
+    factors maps distinct primes p to exponents e. Gaussian integers factor
+    uniquely up to the units 1, i, -1, -i: 2 = -i (1 + i)^2, a prime
+    q = 3 (mod 4) stays prime, and a prime p = 1 (mod 4) splits as
+    pi * conj(pi) with |pi|^2 = p (_split_prime). So G is a unit times
+    (1 + i)^e2, times q^(f/2) for each q^f, times pi^j conj(pi)^(e - j)
+    with 0 <= j <= e for each p^e; an odd f admits no G. Each G is listed
+    once.
+
+    This lists the partners of a wavenumber n. Read n and k as Gaussian
+    integers, so that sigma(k) = Re(1/k), and let b = |n|^2 and
+    Z = 2k - n. Then k (n - k) = (n^2 - Z^2)/4, so
+
+        1/k + 1/(n - k) = n / (k (n - k)) = 4n / W,  W = n^2 - Z^2,
+
+    and for k != 0, n, that is W != 0, resonance sigma(n) = sigma(k) +
+    sigma(n - k) reads n1/b = 4 Re(n conj(W)) / |W|^2, or
+
+        n1 |W|^2 - 2b (n conj(W) + conj(n) W) = 0.
+
+    Multiplied by n1 and completed by 4 b^2 |n|^2 = 4 b^3 this is
+    |n1 W - 2b n|^2 = 4 b^3, and n1 W - 2b n = -(n1 Z^2 + n (2b - n1 n)):
+
+        |n1 Z^2 + n (2b - n1 n)|^2 = 4 b^3.
+
+    So G = n1 Z^2 + n (2b - n1 n) has norm 4 b^3, whose factors are those
+    of b with tripled exponents and two more 2s. Z = +-n, the trivial
+    k = 0 and k = n, gives G = 2b n.
+    """
+    solutions = [(1, 0)]
+    for p, e in factors.items():
+        if p == 2:
+            powers = [_gpow((1, 1), e)]
+        elif p % 4 == 3:
+            if e % 2:
+                return []
+            powers = [(p ** (e // 2), 0)]
+        else:
+            pi = _split_prime(p)
+            conj = (pi[0], -pi[1])
+            powers = [_gmul(_gpow(pi, j), _gpow(conj, e - j)) for j in range(e + 1)]
+        solutions = [_gmul(g, h) for g in solutions for h in powers]
+    return [u for g1, g2 in solutions for u in ((g1, g2), (-g2, g1), (-g1, -g2), (g2, -g1))]
+
+
+def _gaussian_sqrt(c: tuple[int, int]) -> tuple[int, int] | None:
+    """A Gaussian integer Z with Z^2 = c, or None when c is no square.
+
+    With Z = a + i b, Z^2 = c means a^2 - b^2 = c1 and 2ab = c2, so
+    a^2 + b^2 = |c| = s must be an integer, a^2 = (s + c1)/2 and
+    b^2 = (s - c1)/2 must be squares, and then 2|ab| = |c2|; the sign of b
+    follows c2. The other root is -Z.
+    """
+    c1, c2 = c
+    norm = c1 * c1 + c2 * c2
+    s = isqrt(norm)
+    if s * s != norm or (s + c1) % 2:
+        return None
+    a = isqrt((s + c1) // 2)
+    b = isqrt((s - c1) // 2)
+    if 2 * a * a != s + c1 or 2 * b * b != s - c1:
+        return None
+    return a, b if c2 >= 0 else -b

@@ -11,7 +11,11 @@ brute-force oracle _cell_hits tests every cell. find_partners solves the
 partner columns, and naive_partner_oracle scans the columns of the disk
 |k| <= search_radius(n) = ceil(2 |n|^2 / |n1|) (the triangle inequality on
 the three dispersion terms); both add the complement n - k of every hit.
-verify_axis_theorem solves, or scans, the whole disk of (n1, 0).
+
+_norm_hits lists the partners of any n without columns, from the Gaussian
+integers of norm 4 |n|^6 (see exact_core.gaussian_norm_solutions).
+verify_axis_theorem decides the axis claim with it, and keeps _cell_hits
+over the whole disk of (n1, 0) as its oracle.
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
@@ -37,8 +41,10 @@ from typing import IO, Iterable, Iterator
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
+    _gaussian_sqrt,
     _integer_roots_between,
     canonical_triad,
+    gaussian_norm_solutions,
     is_resonant,
     quartic_coeffs,
     sign_class,
@@ -129,6 +135,36 @@ def _cell_hits(n, columns, predicate=is_resonant) -> Iterator[Wavenumber]:
         for y in range(lo, hi + 1):
             if predicate(n, (x, y)):
                 yield Wavenumber(x, y)
+
+
+def _norm_hits(n, factors_of_b) -> Iterator[Wavenumber]:
+    """Resonant k of n from the Gaussian norm equation, both legs of each
+    decomposition; factors_of_b is the factorisation {p: e} of b = |n|^2.
+
+    Every partner k has G = n1 Z^2 + n (2b - n1 n) of norm 4 b^3, with
+    Z = 2k - n (see gaussian_norm_solutions). So each such G is kept when
+    Z^2 = (G - n (2b - n1 n)) / n1 is a Gaussian square with Z = n (mod 2),
+    and gives k = (Z + n)/2 and its complement from -Z. The trivial
+    columns x = 0 and x = n1 are skipped, and every hit is confirmed with
+    is_resonant.
+    """
+    n1, n2 = n
+    if n1 == 0:
+        raise ValueError("partner search requires a nonzero zonal component")
+    factors = {p: 3 * e for p, e in factors_of_b.items()}
+    factors[2] = factors.get(2, 0) + 2
+    m1, m2 = n1 * (n1 * n1 + 3 * n2 * n2), 2 * n2**3  # n (2b - n1 n)
+    for g1, g2 in gaussian_norm_solutions(factors):
+        c1, c2 = g1 - m1, g2 - m2
+        if c1 % n1 or c2 % n1:
+            continue
+        z = _gaussian_sqrt((c1 // n1, c2 // n1))
+        if z is None or (z[0] - n1) % 2 or (z[1] - n2) % 2:
+            continue
+        for z1, z2 in (z, (-z[0], -z[1])):
+            k = Wavenumber((z1 + n1) // 2, (z2 + n2) // 2)
+            if k.n1 != 0 and k.n1 != n1 and is_resonant(n, k):
+                yield k
 
 
 def find_partners(n) -> list[Wavenumber]:

@@ -5,8 +5,9 @@ reports counts and wall time. An empty counterexample list is the expected
 outcome for every claim; the harness exists to make that checkable at any
 desk-scale bound rather than taken on faith.
 
-The axis check runs partner_search's column solver _column_hits, or its
-brute-force oracle _cell_hits, over the whole disk of (n1, 0).
+The axis check solves the Gaussian norm equation of partner_search's
+_norm_hits at each (n1, 0), or runs the brute-force oracle _cell_hits over
+its whole disk; checked counts the disk cells either way.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from typing import Iterator
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
+    _factor,
     _poly_eval,
     canonical_triad,
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import _cell_hits, _column_hits, _disk_columns
+from .partner_search import _cell_hits, _disk_columns, _norm_hits
 
 
 @dataclass
@@ -57,13 +59,15 @@ class VerificationReport:
 def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     """No purely zonal wavenumber admits a non-trivial resonant decomposition.
 
-    For every n1 in [1, n1_max] the full search disk of (n1, 0) is swept and
-    each admissible (x, y) is asserted non-resonant; checked counts the
-    cells. Negative n1 follows from the zonal mirror symmetry. Each disk
-    column is solved exactly by _column_hits, so the sweep covers every cell
-    at any n1_max without relying on the branch bounds of find_partners;
-    passing a predicate (used by the harness self-test) switches to the
-    brute-force oracle _cell_hits, which calls it at every cell.
+    For every n1 in [1, n1_max] every admissible (x, y) of the search disk
+    of (n1, 0) is decided non-resonant; checked counts those disk cells.
+    Negative n1 follows from the zonal mirror symmetry. The cells are
+    decided at once by the norm equation of _norm_hits, which lists every
+    partner of (n1, 0) from the Gaussian integers of norm 4 n1^6; since
+    b = n1^2, the factors of n1 with doubled exponents give them, and no
+    cell is tested on its own. Passing a predicate (used by the harness
+    self-test) switches to the brute-force oracle _cell_hits, which calls
+    it at every cell.
     """
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
@@ -72,9 +76,11 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     counterexamples: list = []
     for n1 in range(1, n1_max + 1):
         n = (n1, 0)
-        columns = list(_disk_columns(n))
-        checked += sum(hi - lo + 1 for _, lo, hi in columns)
-        hits = _column_hits(n, columns) if predicate is None else _cell_hits(n, columns, predicate)
+        checked += sum(hi - lo + 1 for _, lo, hi in _disk_columns(n))
+        if predicate is None:
+            hits = sorted(_norm_hits(n, {p: 2 * e for p, e in _factor(n1).items()}))
+        else:
+            hits = _cell_hits(n, _disk_columns(n), predicate)
         counterexamples.extend((n1, x, y) for x, y in hits)
     return VerificationReport(
         claim="axis-exclusion",

@@ -146,6 +146,43 @@ def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsy
     assert "no-such-dir" in captured.err
 
 
+FAILING_COMMANDS = [
+    ["partners", "0", "5"],
+    ["verify-identity", "--bound", "1"],
+    ["clusters", "--in", "/nonexistent/path.jsonl"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILING_COMMANDS, ids=["partners", "verify-identity", "clusters"])
+def test_failed_run_leaves_no_new_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "f"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", FAILING_COMMANDS, ids=["partners", "verify-identity", "clusters"])
+def test_failed_run_leaves_an_existing_out_file_as_it_was(argv, tmp_path, capsys):
+    out = tmp_path / "f"
+    out.write_text("earlier result\n")
+    assert run(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == "earlier result\n"
+
+
+def test_counterexample_run_still_writes_its_report(tmp_path, monkeypatch, capsys):
+    fake = VerificationReport(
+        claim="axis-exclusion",
+        bounds={"n1_max": 5},
+        checked=10,
+        counterexamples=[(1, 2, 3)],
+        wall_time_ms=0.1,
+    )
+    monkeypatch.setattr(cli, "verify_axis_theorem", lambda n1_max: fake)
+    out = tmp_path / "axis.json"
+    assert run(["verify-axis", "--max", "5", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["counterexamples"] == [[1, 2, 3]]
+
+
 RESULT_HEADER = '{"schema":1,"max_norm":5,"quadrant":true}\n'
 CACHE_HEADER = '{"schema":2,"max_norm":5,"quadrant":true,"kind":"cache"}\n'
 MALFORMED_INPUTS = [

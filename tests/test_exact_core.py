@@ -9,11 +9,15 @@ from rossby_resonance.exact_core import (
     ResonantTriad,
     TrivialInteractionError,
     Wavenumber,
+    _factor,
+    _gaussian_sqrt,
     _integer_roots_between,
     _poly_eval,
     _residual_numden,
     _root_floors,
+    _split_prime,
     canonical_triad,
+    gaussian_norm_solutions,
     integer_roots,
     is_resonant,
     quartic_coeffs,
@@ -370,3 +374,49 @@ class TestIntegerRootsBetween:
                 if below(t) and not below(t + 1)
             }
             assert floors <= set(_root_floors(coeffs, lo, hi)), coeffs
+
+
+class TestGaussianNormSolutions:
+    def test_factor(self):
+        assert _factor(1) == {}
+        assert _factor(2) == {2: 1}
+        assert _factor(360) == {2: 3, 3: 2, 5: 1}
+        assert _factor(97 * 97 * 101) == {97: 2, 101: 1}
+        with pytest.raises(ValueError):
+            _factor(0)
+
+    def test_equals_a_lattice_scan_for_every_norm_to_2000(self):
+        scan = {}
+        for x in range(-45, 46):
+            for y in range(-45, 46):
+                scan.setdefault(x * x + y * y, set()).add((x, y))
+        for norm in range(1, 2001):
+            solutions = gaussian_norm_solutions(_factor(norm))
+            assert len(solutions) == len(set(solutions)), norm
+            assert set(solutions) == scan.get(norm, set()), norm
+
+    def test_split_primes(self):
+        # every prime p = 1 (mod 4) below 20 000 is a^2 + b^2 with a, b > 0
+        primes = [p for p in range(5, 20_000, 4) if _factor(p) == {p: 1}]
+        assert len(primes) == 1_125
+        for p in primes:
+            a, b = _split_prime(p)
+            assert a > 0 and b > 0 and a * a + b * b == p, p
+
+    def test_odd_power_of_a_3_mod_4_prime_has_no_solution(self):
+        assert gaussian_norm_solutions({3: 1}) == []
+        assert gaussian_norm_solutions({5: 2, 7: 3}) == []
+        assert sorted(gaussian_norm_solutions({3: 2})) == [(-3, 0), (0, -3), (0, 3), (3, 0)]
+
+    def test_gaussian_sqrt_is_exact(self):
+        for a in range(-25, 26):
+            for b in range(-25, 26):
+                assert _gaussian_sqrt((a * a - b * b, 2 * a * b)) in ((a, b), (-a, -b))
+        squares = {(a * a - b * b, 2 * a * b) for a in range(-60, 61) for b in range(-60, 61)}
+        for c1 in range(-40, 41):
+            for c2 in range(-40, 41):
+                z = _gaussian_sqrt((c1, c2))
+                if (c1, c2) in squares:
+                    assert (z[0] * z[0] - z[1] * z[1], 2 * z[0] * z[1]) == (c1, c2)
+                else:
+                    assert z is None, (c1, c2)

@@ -1,4 +1,5 @@
 import json
+import random
 from math import isqrt
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rossby_resonance.exact_core import (
     ResonantTriad,
     Wavenumber,
+    _factor,
     _integer_roots_between,
     canonical_triad,
     quartic_coeffs,
@@ -15,6 +17,7 @@ from rossby_resonance.partner_search import (
     _cache_header,
     _column_hits,
     _dump_line,
+    _norm_hits,
     _outer_columns,
     _partner_columns,
     _quadrant_points,
@@ -141,6 +144,50 @@ class TestFindPartners:
         for n1 in (-3, -2, -1, 1, 2, 3):
             for n2 in range(-30, 31):
                 assert find_partners((n1, n2)) == _uncapped_partners((n1, n2)), (n1, n2)
+
+
+def _norm_partners(n):
+    n1, n2 = n
+    return sorted(_norm_hits(n, _factor(n1 * n1 + n2 * n2)))
+
+
+class TestNormHits:
+    def test_matches_oracle_on_signed_points(self):
+        # all four sign quadrants, 0 < |n| <= 12
+        for n1 in range(-12, 13):
+            for n2 in range(-12, 13):
+                if n1 != 0 and n1 * n1 + n2 * n2 <= 144:
+                    assert _norm_partners((n1, n2)) == naive_partner_oracle((n1, n2)), (n1, n2)
+
+    def test_matches_find_partners_on_a_seeded_sample(self, report60):
+        # random points rarely resonate, so the members of the box-60 triads
+        # (472 partners in all) join the 300 seeded points
+        report, _ = report60
+        rng = random.Random(7)
+        points = {(1, 60)}
+        while len(points) < 301:
+            n = (rng.randint(-120, 120), rng.randint(-120, 120))
+            if n[0] != 0:
+                points.add(n)
+        points.update(m for t in report.triads for m in t.members()
+                      if abs(m.n1) <= 120 and abs(m.n2) <= 120)
+        found = 0
+        for n in sorted(points):
+            expected = find_partners(n)
+            assert _norm_partners(n) == expected, n
+            found += len(expected)
+        assert found >= 472
+
+    @pytest.mark.parametrize("n1", [1, 5, 12, 60, 65, 325, 1105])
+    def test_zonal_axis_has_no_hits(self, n1):
+        # b = n1^2, so the factors of n1 with doubled exponents suffice
+        doubled = {p: 2 * e for p, e in _factor(n1).items()}
+        assert list(_norm_hits((n1, 0), doubled)) == []
+        assert list(_norm_hits((-n1, 0), doubled)) == []
+
+    def test_zero_zonal_rejected(self):
+        with pytest.raises(ValueError):
+            list(_norm_hits((0, 3), {3: 2}))
 
 
 class TestEnumerateLambda:

@@ -156,3 +156,37 @@ def test_sigma_additivity_of_resonance(pair):
         - Fraction((n - k).n1, (n - k).norm2())
     )
     assert residual(n, k) == expected
+
+
+@st.composite
+def resonant_or_random_pairs(draw):
+    """An admissible pair, half the time a scaled, mirrored or negated member
+    of the (m^4, m l^3) family, so that resonant pairs are drawn too."""
+    if draw(st.booleans()):
+        return draw(admissible_pairs())
+    m, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    assume(m != l)
+    j = draw(st.integers(1, 3))
+    n = Wavenumber(m**4, m * l**3) * j
+    k = Wavenumber(l**4, -(m**3) * l) * j
+    if draw(st.booleans()):
+        n, k = n.mirror(), k.mirror()
+    if draw(st.booleans()):
+        n, k = -n, -k
+    if draw(st.booleans()):
+        k = n - k
+    return n, k
+
+
+@given(resonant_or_random_pairs())
+@settings(max_examples=1000, derandomize=True)
+def test_resonance_is_the_gaussian_norm_equation(pair):
+    """With b = |n|^2 and Z = 2k - n read as Gaussian integers, resonance
+    holds exactly when |n1 Z^2 + n (2b - n1 n)|^2 = 4 b^3."""
+    n, k = pair
+    b = n.norm2()
+    z1, z2 = 2 * k.n1 - n.n1, 2 * k.n2 - n.n2
+    w1, w2 = 2 * b - n.n1 * n.n1, -n.n1 * n.n2  # 2b - n1 n
+    g1 = n.n1 * (z1 * z1 - z2 * z2) + n.n1 * w1 - n.n2 * w2
+    g2 = n.n1 * (2 * z1 * z2) + n.n1 * w2 + n.n2 * w1
+    assert is_resonant(n, k) == (g1 * g1 + g2 * g2 == 4 * b**3)

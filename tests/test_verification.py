@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from rossby_resonance.exact_core import Wavenumber, is_resonant
+from rossby_resonance.exact_core import Wavenumber, _factor, is_resonant
 from rossby_resonance.partner_search import (
     _cell_hits,
     _column_hits,
     _disk_columns,
+    _norm_hits,
     naive_partner_oracle,
 )
+from rossby_resonance import verification
 from rossby_resonance.verification import (
     check_proof_identity,
     generate_family,
@@ -53,6 +55,23 @@ class TestAxisTheorem:
         assert [tuple(k) for k in naive_partner_oracle(n)] == expected
         assert list(_column_hits(n, _disk_columns(n))) == expected
         assert list(_cell_hits(n, _disk_columns(n))) == expected
+        assert sorted(_norm_hits(n, _factor(n[0] ** 2 + n[1] ** 2))) == expected
+
+    def test_norm_path_is_given_the_factors_of_b(self, monkeypatch):
+        # b = n1^2 on the axis; the axis has no hits, so only the factors
+        # handed to _norm_hits show that it solves the right norm equation
+        seen = []
+
+        def recording(n, factors_of_b):
+            b = 1
+            for p, e in factors_of_b.items():
+                b *= p**e
+            seen.append((n, b))
+            return _norm_hits(n, factors_of_b)
+
+        monkeypatch.setattr(verification, "_norm_hits", recording)
+        assert verify_axis_theorem(30).counterexamples == []
+        assert seen == [((n1, 0), n1 * n1) for n1 in range(1, 31)]
 
     def test_corrupted_predicate_is_caught(self):
         flipped_at = ((5, 0), (2, 3))
