@@ -11,8 +11,7 @@ bound and a truncation disclaimer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact_core import ResonantTriad, Wavenumber, sign_class
 
@@ -25,8 +24,7 @@ TRUNCATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """One connected component: members, inducing triads, norm signature.
 
     members are sign classes, each held as its sign_class (n1 > 0).

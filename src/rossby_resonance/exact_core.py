@@ -23,7 +23,6 @@ No floating point appears anywhere on a verdict path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -113,40 +112,40 @@ class QuarticPoly(NamedTuple):
     a0: int
 
 
-@dataclass(frozen=True, order=True)
-class ResonantTriad:
-    """Canonical zero-sum triple of wavenumbers in exact resonance.
-
-    Invariants, enforced at construction: the members sum to (0, 0)
-    componentwise, every member has a nonzero zonal component, the three
-    sigma values sum to zero exactly, the members are sorted ascending, and
-    of the triple and its negation the lexicographically smaller sorted
-    tuple is stored.
-    """
-
+class _TriadFields(NamedTuple):
     a: Wavenumber
     b: Wavenumber
     c: Wavenumber
 
-    def __post_init__(self):
-        members = (self.a, self.b, self.c)
-        if any(not isinstance(m, Wavenumber) for m in members):
-            object.__setattr__(self, "a", Wavenumber(*self.a))
-            object.__setattr__(self, "b", Wavenumber(*self.b))
-            object.__setattr__(self, "c", Wavenumber(*self.c))
-            members = (self.a, self.b, self.c)
-        total = members[0] + members[1] + members[2]
+
+class ResonantTriad(_TriadFields):
+    """Canonical zero-sum triple of wavenumbers in exact resonance.
+
+    Invariants, enforced at construction, unpickling, _make and _replace:
+    the members sum to (0, 0) componentwise, every member has a nonzero
+    zonal component, (-c, a) passes is_resonant, the members are sorted
+    ascending, and of the triple and its negation the lexicographically
+    smaller sorted tuple is stored. Hash and order are those of (a, b, c).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c):
+        self = super().__new__(cls, Wavenumber(*a), Wavenumber(*b), Wavenumber(*c))
+        total = self.a + self.b + self.c
         if total != (0, 0):
             raise ValueError(f"triad members must sum to zero, got {total}")
-        if any(m.n1 == 0 for m in members):
+        if any(m.n1 == 0 for m in self):
             raise ValueError("triad members must have nonzero zonal components")
-        if sum(Fraction(m.n1, m.norm2()) for m in members) != 0:
+        if not is_resonant(-self.c, self.a):
             raise ValueError("triad is not resonant: sigma values do not sum to zero")
-        if list(members) != sorted(members):
+        if list(self) != sorted(self):
             raise ValueError("triad members must be sorted ascending")
-        negated = sorted(-m for m in members)
-        if list(members) > negated:
+        if list(self) > sorted(-m for m in self):
             raise ValueError("triad must be the lexicographically smaller of itself and its negation")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_members(cls, p, q, r) -> "ResonantTriad":

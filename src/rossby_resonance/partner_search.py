@@ -34,9 +34,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
 from math import atan2, isqrt, pi
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .exact_core import (
     ResonantTriad,
@@ -54,21 +53,29 @@ JSONL_SCHEMA = 1
 CACHE_SCHEMA = 2
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Outcome of a box enumeration.
 
     triads holds every canonical triad discovered from box members (legs may
     lie outside the box); lambda_members holds exactly the box wavenumbers
     that admit a non-trivial resonant decomposition. stats carries counts and
-    wall times per phase and is deliberately excluded from the deterministic
-    JSONL serialization.
+    wall times per phase; it is left out of equality, the hash and the
+    deterministic JSONL serialization.
     """
 
     max_norm: int
     triads: frozenset[ResonantTriad]
     lambda_members: frozenset[Wavenumber]
-    stats: dict = field(compare=False, hash=False, default_factory=dict)
+    stats: dict
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, EnumerationReport) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def search_radius(n) -> int:
@@ -391,7 +398,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             "total": (t_end - t0) * 1000.0,
         },
     }
-    return replace(report, stats=stats)
+    return report._replace(stats=stats)
 
 
 def _collect(results, per_source, writer) -> None:
@@ -469,16 +476,10 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
             for s in (m, -m):
                 if s.norm2() <= m2:
                     members.add(s)
-    return EnumerationReport(
-        max_norm=max_norm,
-        triads=triad_set,
-        lambda_members=frozenset(members),
-        stats={},
-    )
+    return EnumerationReport(max_norm, triad_set, frozenset(members), stats={})
 
 
-@dataclass
-class AngularHistogram:
+class AngularHistogram(NamedTuple):
     """Angular occupancy of the resonant set within a box.
 
     counts bins the members by atan2(n2, n1) over (-pi, pi]; axis_count is

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact_core import (
     ResonantTriad,
@@ -30,30 +29,31 @@ from .exact_core import (
 from .partner_search import _cell_hits, _disk_columns, _norm_hits
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     bounds: dict
     checked: int
     counterexamples: list
     wall_time_ms: float
-    seed: int | None = field(default=None)
+    seed: int | None = None
 
     @property
     def consistent(self) -> bool:
         return not self.counterexamples
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "claim": self.claim,
-            "bounds": self.bounds,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples,
-            "wall_time_ms": self.wall_time_ms,
-        }
-        if self.seed is not None:
-            doc["seed"] = self.seed
+        doc = self._asdict()
+        if self.seed is None:
+            del doc["seed"]
         return doc
+
+
+def _axis_disk_cells(n1: int) -> int:
+    """The cells of _disk_columns((n1, 0)): the radius is 2 n1, the columns
+    x and -x are counted as a pair over x >= 1, and the column x = n1 is taken out."""
+    r2 = 4 * n1 * n1
+    half = sum(2 * isqrt(r2 - x * x) + 1 for x in range(1, 2 * n1 + 1))
+    return 2 * half - (2 * isqrt(r2 - n1 * n1) + 1)
 
 
 def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
@@ -76,7 +76,7 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     counterexamples: list = []
     for n1 in range(1, n1_max + 1):
         n = (n1, 0)
-        checked += sum(hi - lo + 1 for _, lo, hi in _disk_columns(n))
+        checked += _axis_disk_cells(n1)
         if predicate is None:
             hits = sorted(_norm_hits(n, {p: 2 * e for p, e in _factor(n1).items()}))
         else:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rossby_resonance
 from rossby_resonance import cli
 from rossby_resonance.cli import run
 from rossby_resonance.partner_search import enumerate_lambda, stats_anisotropy
@@ -429,3 +432,19 @@ def test_package_import_leaves_multiprocessing_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # The result types are NamedTuples, so start-up of every command skips
+    # dataclasses and the inspect, ast and dis modules it pulls in. -S keeps
+    # site out of the check; PYTHONPATH points at this checkout's package.
+    src = str(Path(rossby_resonance.__file__).resolve().parent.parent)
+    script = "import sys, rossby_resonance.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -172,6 +173,34 @@ class TestCanonicalTriad:
         # canonical form must be the lexicographically smaller of the pair
         with pytest.raises(ValueError):
             ResonantTriad(Wavenumber(-8, 34), Wavenumber(-1, -11), Wavenumber(9, -23))
+
+    def test_hash_and_order_are_those_of_the_plain_tuple(self):
+        members = (((1, 11), (8, -34), (-9, 23)), ((3, 19), (32, -44), (-35, 25)), ((1, -8), (15, 10), (-16, -2)))
+        triads = [ResonantTriad.from_members(*m) for m in members]
+        for t in triads:
+            assert t == tuple(t)
+            assert hash(t) == hash(tuple(t))
+        assert [tuple(t) for t in sorted(triads)] == sorted(tuple(t) for t in triads)
+        assert list(set(triads)) == list(set(tuple(t) for t in triads))
+
+    def test_pickle_round_trip_revalidates(self):
+        t = canonical_triad((1, 11), (-8, 34))
+        # tuple.__new__ skips the checks; unpickling must run them again
+        forged = tuple.__new__(ResonantTriad, (Wavenumber(1, 1), Wavenumber(2, 2), Wavenumber(-3, -3)))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(t, protocol))
+            assert back == t and type(back) is ResonantTriad
+            with pytest.raises(ValueError, match="not resonant"):
+                pickle.loads(pickle.dumps(forged, protocol))
+
+    def test_make_and_replace_revalidate(self):
+        t = canonical_triad((1, 11), (-8, 34))
+        assert ResonantTriad._make(iter(t)) == t
+        assert t._replace(a=t.a) == t
+        with pytest.raises(ValueError, match="sum to zero"):
+            t._replace(a=Wavenumber(-16, 2))
+        with pytest.raises(ValueError, match="sum to zero"):
+            ResonantTriad._make([(1, 1), (2, 2), (3, 3)])
 
     def test_from_members_accepts_any_presentation(self):
         t = ResonantTriad.from_members((9, -23), (-1, -11), (-8, 34))

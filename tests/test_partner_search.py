@@ -405,6 +405,17 @@ def test_report_is_value_like(report12):
     assert clone == report12  # stats excluded from equality
 
 
+def test_reports_of_one_box_are_equal_whatever_their_stats():
+    serial = enumerate_lambda(12, jobs=1)
+    parallel = enumerate_lambda(12, jobs=2)
+    assert serial.stats != parallel.stats
+    assert serial == parallel
+    assert not serial != parallel
+    assert hash(serial) == hash(parallel)
+    assert serial._replace(max_norm=13) != serial
+    assert serial._replace(stats={}) == serial
+
+
 def test_every_triad_is_canonical(report12):
     for t in report12.triads:
         assert isinstance(t, ResonantTriad)

@@ -12,6 +12,7 @@ from rossby_resonance.partner_search import (
 )
 from rossby_resonance import verification
 from rossby_resonance.verification import (
+    _axis_disk_cells,
     check_proof_identity,
     generate_family,
     verify_axis_theorem,
@@ -32,6 +33,11 @@ class TestAxisTheorem:
         assert report.counterexamples == []
         assert report.claim == "axis-exclusion"
         assert report.bounds == {"n1_max": 40}
+
+    def test_half_disk_count_equals_the_disk_columns(self):
+        for n1 in range(1, 81):
+            disk = sum(hi - lo + 1 for _, lo, hi in _disk_columns((n1, 0)))
+            assert _axis_disk_cells(n1) == disk
 
     def test_vector_and_scalar_paths_agree(self):
         fast = verify_axis_theorem(25)
