@@ -263,12 +263,12 @@ def _poly_eval(coeffs: Iterable[int], t: int) -> int:
     return acc
 
 
-def _refine_floors(poly, inherited: list[int], lo: int, hi: int, roots_only: bool = False) -> list[int]:
-    """One degree of _root_floors: poly evaluates the polynomial at an
-    integer, and inherited are the sorted markers of its derivative, repeats
-    allowed. With roots_only the integer roots in [lo, hi] are returned
-    instead of the markers: each is a checkpoint or is met exactly by the
-    bisection of the monotone segment around it."""
+def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """One degree of _integer_roots_between: poly evaluates the polynomial
+    at an integer, and inherited are the sorted markers of its derivative,
+    repeats allowed. Returns the integer roots of poly in [lo, hi], each a
+    checkpoint or met exactly by bisection, and the markers of poly:
+    inherited plus the floor of every root found."""
     points = [lo]
     for f in inherited:
         if f > points[-1]:
@@ -277,58 +277,72 @@ def _refine_floors(poly, inherited: list[int], lo: int, hi: int, roots_only: boo
             points.append(f + 1)
     if hi > points[-1]:
         points.append(hi)
-    found = []
+    roots, floors = [], []
     p, vp = lo, poly(lo)
     if vp == 0:
-        found.append(lo)
+        roots.append(lo)
     for q in points[1:]:
         vq = poly(q)
         if vq == 0:
-            found.append(q)
+            roots.append(q)
         elif vp * vq < 0:
             a, b, va = p, q, vp
             while b - a > 1:
                 mid = (a + b) // 2
                 vm = poly(mid)
                 if vm == 0:
-                    found.append(mid)
+                    roots.append(mid)
                     break
                 if (vm > 0) == (va > 0):
                     a, va = mid, vm
                 else:
                     b = mid
             else:
-                if not roots_only:
-                    found.append(a)
+                floors.append(a)
         p, vp = q, vq
-    return found if roots_only else sorted(inherited + found)
+    return roots, sorted(inherited + roots + floors)
 
 
-def _root_floors(coeffs: list[int], lo: int, hi: int, roots_only: bool = False) -> list[int]:
-    """Marker floors covering every real root of an integer polynomial.
-
-    Returns a sorted superset of { floor(r) : r real root of poly, lo <= r <= hi },
-    clipped to [lo, hi], computed in exact integer arithmetic; with
-    roots_only, exactly the integer roots in [lo, hi]. The markers of the
-    derivative are carried into the result, which is what makes the cover
-    complete: a root either produces a strict sign change between consecutive
-    checkpoints (found by binary search, valid because segments wider than one
-    unit contain no derivative root and are therefore monotone), lands exactly
-    on a checkpoint, or shares its unit cell with a derivative root (even
-    multiplicity directly; two roots in one cell or a root next to a root
-    endpoint via Rolle) and is covered by the inherited marker.
-
-    Every degree up to 4 runs on one unrolled path with Horner inlined: the
-    coefficients are padded to a quartic a4..a0 and the sign normalised so
-    that a4 >= 0, which keeps every root. With a4 > 0 the roots of
-    p''/2 = 6 a4 t^2 + 3 a3 t + a2 are (m -+ s) / c with m = -3 a3,
-    c = 12 a4 > 0 and s the square root of the discriminant, and since c is
-    a positive integer their floors are (m - ceil(s)) // c and
-    (m + floor(s)) // c, both from isqrt. With a4 = 0, p''/2 = 3 a3 t + a2
-    is linear and its one root floor is -a2 // (3 a3); when a3 = 0 as well
-    p'' is constant and gives no marker. A longer coefficient list raises
-    ValueError.
+def _p2_floors(a4: int, a3: int, a2: int, lo: int, hi: int) -> list[int]:
+    """Floors in [lo, hi] of the real roots of p''/2 = 6 a4 t^2 + 3 a3 t + a2,
+    for a4 >= 0. With a4 > 0 the roots are (m -+ s) / c with m = -3 a3,
+    c = 12 a4 > 0 and s the square root of the discriminant, so their floors
+    are (m - ceil(s)) // c and (m + floor(s)) // c, both from isqrt. With
+    a4 = 0 the one root floor is -a2 // (3 a3), and none when a3 = 0 too.
     """
+    floors = ()
+    if a4:
+        m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
+        if disc >= 0:
+            s = isqrt(disc)
+            floors = ((m - s - (s * s < disc)) // c, (m + s) // c)
+    elif a3:
+        floors = (-a2 // (3 * a3),)
+    return [f for f in floors if lo <= f <= hi]
+
+
+def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
+    """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending.
+
+    coeffs are ordered highest degree first; leading zeros are dropped, and
+    the zero polynomial and a degree above 4 are rejected. Every degree runs
+    on one unrolled path with Horner inlined: the coefficients are padded to
+    a quartic a4..a0 with the sign normalised to a4 >= 0, which keeps every
+    root, and the root floors of p'' (_p2_floors) are refined into markers
+    for p' and then into the roots of p (_refine_floors). Carrying each
+    derivative's markers makes the search complete: a root either gives a
+    strict sign change between consecutive checkpoints (found by bisection,
+    valid because a segment wider than one unit holds no derivative root and
+    is monotone), lands on a checkpoint, or shares its unit cell with a
+    derivative root (even multiplicity directly; two roots in one cell or a
+    root next to a root endpoint via Rolle) and is a checkpoint through the
+    inherited marker. A root is returned only where exact evaluation gives 0.
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if not coeffs:
+        raise ValueError("the zero polynomial vanishes at every integer")
     if len(coeffs) > 5:
         raise ValueError("root isolation takes polynomials of degree at most 4")
     if lo > hi:
@@ -336,41 +350,11 @@ def _root_floors(coeffs: list[int], lo: int, hi: int, roots_only: bool = False) 
     a4, a3, a2, a1, a0 = [0] * (5 - len(coeffs)) + coeffs
     if a4 < 0:
         a4, a3, a2, a1, a0 = -a4, -a3, -a2, -a1, -a0
-    markers = []
-    if a4:
-        m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
-        if disc >= 0:
-            s = isqrt(disc)
-            markers = [f for f in ((m - s - (s * s < disc)) // c, (m + s) // c) if lo <= f <= hi]
-    elif a3 and lo <= -a2 // (3 * a3) <= hi:
-        markers = [-a2 // (3 * a3)]
     b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
-    markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
-    return _refine_floors(
-        lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi, roots_only
-    )
-
-
-def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
-    """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending.
-
-    coeffs are ordered highest degree first. The interval is first clipped
-    to the Cauchy bound 1 + max|c_i| // |c_lead|, outside which no real root
-    lies. Exactness is unconditional: candidate locations come from exact
-    sign-change isolation (see _root_floors) and a root is returned only
-    where exact evaluation gives zero. Degenerate leading coefficients are
-    tolerated; the identically-zero polynomial, and a degree above 4, are
-    rejected.
-    """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        raise ValueError("the zero polynomial vanishes at every integer")
-    if len(coeffs) == 1:
-        return []
-    cauchy = 1 + max(map(abs, coeffs[1:])) // abs(coeffs[0])
-    return _root_floors(coeffs, max(lo, -cauchy), min(hi, cauchy), roots_only=True)
+    markers = _p2_floors(a4, a3, a2, lo, hi)
+    _, markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
+    roots, _ = _refine_floors(lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi)
+    return roots
 
 
 def integer_roots(p: QuarticPoly, bound: int) -> list[int]:

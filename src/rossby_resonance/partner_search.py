@@ -6,16 +6,16 @@ n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma; find_partners
 proves the three branches and the cap.
 
 A column (x, lo, hi) is solved in one place, _column_hits, by the exact
-integer roots of its partner quartic, each confirmed with is_resonant; its
-brute-force oracle _cell_hits tests every cell. find_partners solves the
-partner columns, and naive_partner_oracle scans the columns of the disk
+integer roots of its partner quartic, each confirmed with is_resonant.
+find_partners solves the partner columns; both add the complement n - k of
+every hit. The brute-force cell scan _cell_hits, which tests every cell, is
+only an oracle: naive_partner_oracle runs it over the disk
 |k| <= search_radius(n) = ceil(2 |n|^2 / |n1|) (the triangle inequality on
-the three dispersion terms); both add the complement n - k of every hit.
+the three dispersion terms), and tests compare the fast paths with it.
 
 _norm_hits lists the partners of any n without columns, from the Gaussian
 integers of norm 4 |n|^6 (see exact_core.gaussian_norm_solutions).
-verify_axis_theorem decides the axis claim with it, and keeps _cell_hits
-over the whole disk of (n1, 0) as its oracle.
+verify_axis_theorem decides the axis claim with it alone.
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
@@ -136,11 +136,11 @@ def _column_hits(n, columns) -> Iterator[Wavenumber]:
                 yield Wavenumber(x, y)
 
 
-def _cell_hits(n, columns, predicate=is_resonant) -> Iterator[Wavenumber]:
-    """Brute-force oracle for _column_hits: predicate at every cell."""
+def _cell_hits(n, columns) -> Iterator[Wavenumber]:
+    """Brute-force oracle for _column_hits: is_resonant at every cell."""
     for x, lo, hi in columns:
         for y in range(lo, hi + 1):
-            if predicate(n, (x, y)):
+            if is_resonant(n, (x, y)):
                 yield Wavenumber(x, y)
 
 
@@ -276,7 +276,8 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
     read. A complete line that is not JSON is skipped: its source is
     recomputed and the lines after it still count. A header cut before its
     newline counts as an absent cache, so the file is started afresh. A JSON
-    line that is not a record of a quadrant source raises ValueError.
+    line that is not a record of a quadrant source, or that holds a triad
+    with neither the source nor its negation as a member, raises ValueError.
     """
     done: dict[Wavenumber, list[ResonantTriad]] = {}
     try:
@@ -309,7 +310,7 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
                 continue
             try:
                 (n,) = _wavenumbers([rec["n"]])
-                done[n] = [ResonantTriad.from_members(*_wavenumbers(t)) for t in rec["triads"]]
+                triads = [ResonantTriad.from_members(*_wavenumbers(t)) for t in rec["triads"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
@@ -318,6 +319,11 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
                 raise ValueError(
                     f"cache file {path} line {i}: source {rec['n']} is outside the box quadrant"
                 )
+            if any(n not in t and -n not in t for t in triads):
+                raise ValueError(
+                    f"cache file {path} line {i}: a triad without the source or its negation"
+                )
+            done[n] = triads
     return done, offset
 
 
@@ -372,8 +378,9 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
         else:
             from multiprocessing import Pool  # here so that importing the package does not load it
 
-            chunk = max(1, len(pending) // (jobs * 8))
-            with Pool(processes=jobs) as pool:
+            workers = min(jobs, len(pending))
+            chunk = max(1, len(pending) // (workers * 8))
+            with Pool(processes=workers) as pool:
                 _collect(pool.imap(_worker, pending, chunksize=chunk), per_source, writer)
     finally:
         if writer is not None:

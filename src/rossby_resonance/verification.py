@@ -6,8 +6,9 @@ outcome for every claim; the harness exists to make that checkable at any
 desk-scale bound rather than taken on faith.
 
 The axis check solves the Gaussian norm equation of partner_search's
-_norm_hits at each (n1, 0), or runs the brute-force oracle _cell_hits over
-its whole disk; checked counts the disk cells either way.
+_norm_hits at each (n1, 0); checked counts the cells of its search disk.
+The brute-force disk scan, naive_partner_oracle, is only the oracle that
+tests compare it with.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .exact_core import (
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import _cell_hits, _disk_columns, _norm_hits
+from .partner_search import _norm_hits
 
 
 class VerificationReport(NamedTuple):
@@ -49,14 +50,15 @@ class VerificationReport(NamedTuple):
 
 
 def _axis_disk_cells(n1: int) -> int:
-    """The cells of _disk_columns((n1, 0)): the radius is 2 n1, the columns
-    x and -x are counted as a pair over x >= 1, and the column x = n1 is taken out."""
+    """The cells of partner_search._disk_columns((n1, 0)): the radius is
+    2 n1, the columns x and -x are counted as a pair over x >= 1, and the
+    column x = n1 is taken out."""
     r2 = 4 * n1 * n1
     half = sum(2 * isqrt(r2 - x * x) + 1 for x in range(1, 2 * n1 + 1))
     return 2 * half - (2 * isqrt(r2 - n1 * n1) + 1)
 
 
-def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
+def verify_axis_theorem(n1_max: int) -> VerificationReport:
     """No purely zonal wavenumber admits a non-trivial resonant decomposition.
 
     For every n1 in [1, n1_max] every admissible (x, y) of the search disk
@@ -65,9 +67,7 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     decided at once by the norm equation of _norm_hits, which lists every
     partner of (n1, 0) from the Gaussian integers of norm 4 n1^6; since
     b = n1^2, the factors of n1 with doubled exponents give them, and no
-    cell is tested on its own. Passing a predicate (used by the harness
-    self-test) switches to the brute-force oracle _cell_hits, which calls
-    it at every cell.
+    cell is tested on its own.
     """
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
@@ -75,12 +75,8 @@ def verify_axis_theorem(n1_max: int, predicate=None) -> VerificationReport:
     checked = 0
     counterexamples: list = []
     for n1 in range(1, n1_max + 1):
-        n = (n1, 0)
         checked += _axis_disk_cells(n1)
-        if predicate is None:
-            hits = sorted(_norm_hits(n, {p: 2 * e for p, e in _factor(n1).items()}))
-        else:
-            hits = _cell_hits(n, _disk_columns(n), predicate)
+        hits = sorted(_norm_hits((n1, 0), {p: 2 * e for p, e in _factor(n1).items()}))
         counterexamples.extend((n1, x, y) for x, y in hits)
     return VerificationReport(
         claim="axis-exclusion",

@@ -216,6 +216,9 @@ MALFORMED_INPUTS = [
      '{"schema":2,"max_norm":12,"quadrant":true,"kind":"cache"}\n'
      '{"n":[true,11],"triads":[[[-9,23],[true,11],[8,-34]]]}\n', "line 2"),
     (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1.0,0],"triads":[]}\n', "line 2"),
+    # a triad that holds neither the source nor its negation
+    (["enumerate", "--max-norm", "5", "--cache"],
+     CACHE_HEADER + '{"n":[1,1],"triads":[[[-16,2],[1,8],[15,-10]]]}\n', "line 2"),
     # bytes that are not UTF-8: the message names the file
     (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
      "input.jsonl has a corrupt header line"),
@@ -232,7 +235,8 @@ MALFORMED_INPUTS = [
          "cache-origin", "cache-outside-box", "cache-schema-1",
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
-         "cache-float-component", "cache-binary", "clusters-binary", "stats-binary"],
+         "cache-float-component", "cache-foreign-triad", "cache-binary", "clusters-binary",
+         "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -394,6 +398,13 @@ EXIT_CODE_MATRIX = [
 @pytest.mark.parametrize("argv, expected", EXIT_CODE_MATRIX)
 def test_exit_code_contract(argv, expected, capsys):
     assert run(argv) == expected
+
+
+def test_non_integer_argument_names_no_internal_function(capsys):
+    assert run(["enumerate", "--max-norm", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "--max-norm: not an integer: 'abc'" in err
+    assert "_positive_int" not in err
 
 
 def test_module_entry_point():

@@ -13,9 +13,9 @@ from rossby_resonance.exact_core import (
     _factor,
     _gaussian_sqrt,
     _integer_roots_between,
+    _p2_floors,
     _poly_eval,
     _residual_numden,
-    _root_floors,
     _split_prime,
     canonical_triad,
     gaussian_norm_solutions,
@@ -383,9 +383,8 @@ class TestIntegerRootsBetween:
             assert _integer_roots_between(coeffs, y + 1, hi) == _scan_between(coeffs, y + 1, hi), (n, x)
 
     def test_quartic_markers_hold_the_floors_of_the_p2_roots(self):
-        # the markers of every derivative are carried into _root_floors; the
-        # roots (m -+ sqrt(disc)) / c of p''/2 = 6 a4 t^2 + 3 a3 t + a2 come
-        # from isqrt, so check their floors with the integer test t <= root
+        # the roots (m -+ sqrt(disc)) / c of p''/2 = 6 a4 t^2 + 3 a3 t + a2
+        # come from isqrt, so check their floors with the integer test t <= root
         rng = random.Random(41)
         for _ in range(1000):
             coeffs = [rng.choice([-4, -3, -1, 1, 2, 5])] + [rng.randint(-400, 400) for _ in range(4)]
@@ -402,7 +401,7 @@ class TestIntegerRootsBetween:
                 for below in (below_lower, below_upper)
                 if below(t) and not below(t + 1)
             }
-            assert floors <= set(_root_floors(coeffs, lo, hi)), coeffs
+            assert floors <= set(_p2_floors(a4, a3, a2, lo, hi)), coeffs
 
 
 class TestGaussianNormSolutions:

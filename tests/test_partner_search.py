@@ -265,6 +265,32 @@ class TestEnumerateLambda:
         assert serial.lambda_members == parallel.lambda_members
         assert report_to_jsonl(serial) == report_to_jsonl(parallel)
 
+    def test_pool_has_no_more_workers_than_pending_sources(self, monkeypatch):
+        import multiprocessing
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize):
+                started.append(chunksize)
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        report = enumerate_lambda(2, jobs=8)
+        # the box-2 quadrant holds 3 sources: (1, 0), (1, 1) and (2, 0)
+        assert started == [3, 1]
+        assert report.stats["jobs"] == 8
+        assert report == enumerate_lambda(2)
+
 
 class TestJsonl:
     def test_header_and_sorted_records(self, report12):

@@ -41,9 +41,10 @@ class TestAxisTheorem:
 
     def test_vector_and_scalar_paths_agree(self):
         fast = verify_axis_theorem(25)
-        slow = verify_axis_theorem(25, predicate=is_resonant)
-        assert fast.checked == slow.checked
-        assert fast.counterexamples == slow.counterexamples == []
+        slow = [(n1, x, y) for n1 in range(1, 26) for x, y in naive_partner_oracle((n1, 0))]
+        disk = sum(hi - lo + 1 for n1 in range(1, 26) for _, lo, hi in _disk_columns((n1, 0)))
+        assert fast.checked == disk
+        assert fast.counterexamples == slow == []
 
     def test_column_and_scalar_scans_agree_per_n1(self):
         for n1 in range(1, 31):
@@ -79,17 +80,14 @@ class TestAxisTheorem:
         assert verify_axis_theorem(30).counterexamples == []
         assert seen == [((n1, 0), n1 * n1) for n1 in range(1, 31)]
 
-    def test_corrupted_predicate_is_caught(self):
-        flipped_at = ((5, 0), (2, 3))
+    def test_corrupted_predicate_is_caught(self, monkeypatch):
+        def with_a_false_hit(n, factors_of_b):
+            yield from _norm_hits(n, factors_of_b)
+            if tuple(n) == (5, 0):
+                yield Wavenumber(2, 3)
 
-        def almost_is_resonant(n, k):
-            verdict = is_resonant(n, k)
-            if (tuple(n), tuple(k)) == flipped_at:
-                return not verdict
-            return verdict
-
-        report = verify_axis_theorem(6, predicate=almost_is_resonant)
-        assert report.counterexamples == [(5, 2, 3)]
+        monkeypatch.setattr(verification, "_norm_hits", with_a_false_hit)
+        assert verify_axis_theorem(6).counterexamples == [(5, 2, 3)]
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
