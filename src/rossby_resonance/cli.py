@@ -41,7 +41,6 @@ from .verification import (
 )
 
 _CONFIG_ENV = "ROSSBY_RESONANCE_CONFIG"
-_CONFIG_KEYS = {"jobs": int, "bins": int, "seed": int}
 _DEFAULTS = {"jobs": 1, "bins": 16, "seed": 0}
 
 
@@ -57,9 +56,14 @@ def _load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _CONFIG_KEYS:
+            if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be an integer, got {value!r}"
+                ) from None
     return values
 
 
@@ -194,17 +198,15 @@ def _cmd_stats(args) -> int:
 
 def _load_report(args) -> EnumerationReport:
     if args.in_path is not None:
-        with open(args.in_path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.in_path, "r", encoding="utf-8") as fh:
                 header, triads = read_triads_jsonl(fh)
-            except ValueError as exc:  # a malformed record, or bytes that are not UTF-8
-                raise ValueError(f"{args.in_path}: {exc}") from exc
-        max_norm = header.get("max_norm")
-        if type(max_norm) is not int or max_norm < 1:
-            raise ValueError(
-                f"{args.in_path}: header max_norm must be an integer >= 1, got {max_norm!r}"
-            )
-        return report_from_triads(max_norm, triads)
+            max_norm = header.get("max_norm")
+            if type(max_norm) is not int or max_norm < 1:
+                raise ValueError(f"header max_norm must be an integer >= 1, got {max_norm!r}")
+            return report_from_triads(max_norm, triads)
+        except ValueError as exc:  # a malformed record or header, a triad outside the box, non-UTF-8
+            raise ValueError(f"{args.in_path}: {exc}") from exc
     return enumerate_lambda(args.max_norm, jobs=args.jobs)
 
 

@@ -51,6 +51,12 @@ from .exact_core import (
 
 JSONL_SCHEMA = 1
 CACHE_SCHEMA = 2
+# Below this many partner quartics over the pending sources, enumerate_lambda
+# runs in one process whatever jobs says. On a 2-core machine a two-worker
+# pool costs about 54 ms to start, feed and stop, and saves about 8 us of the
+# 17 us a quartic takes inline: it breaks even near 6 600 quartics on an idle
+# machine and above 11 000 on a loaded one.
+POOL_MIN_QUARTICS = 12_000
 
 
 class EnumerationReport(NamedTuple):
@@ -103,15 +109,28 @@ def _disk_columns(n) -> Iterator[tuple[int, int, int]]:
             yield x, -ymax, ymax
 
 
+def _outer_us(n1: int, b: int) -> range:
+    """The u = n1 - x of the x < 0 branch of the partner search of a point
+    with first component n1 > 0 and b = |n|^2; find_partners proves it."""
+    cap = isqrt(isqrt(b**3 // (n1 * n1)))
+    return range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1)
+
+
 def _outer_columns(n) -> Iterator[tuple[int, int, int]]:
     """Columns (x, lo, hi) of the x < 0 branch of the partner search of n,
     for n1 > 0: every partner of n with x < 0 lies in one of them."""
     n1, n2 = n
     b = n1 * n1 + n2 * n2
-    cap = isqrt(isqrt(b**3 // (n1 * n1)))
-    for u in range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1):
+    for u in _outer_us(n1, b):
         w = isqrt((u * (b - u * n1) - 1) // n1)
         yield n1 - u, n2 - w, n2 + w
+
+
+def _outer_count(n) -> int:
+    """The number of columns of _outer_columns(n), each one partner quartic:
+    the exact cost of source n in enumerate_lambda."""
+    n1, n2 = n
+    return len(_outer_us(n1, n1 * n1 + n2 * n2))
 
 
 def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
@@ -371,17 +390,21 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
             writer.flush()
 
     per_source: dict[Wavenumber, list[ResonantTriad]] = dict(cached)
+    cost = {} if jobs == 1 else {n: _outer_count(n) for n in pending}
+    workers = 0
     try:
-        if jobs == 1 or len(pending) < 2:
+        if jobs == 1 or sum(cost.values()) < POOL_MIN_QUARTICS:
             computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(_worker, pending)
             _collect(computed, per_source, writer)
         else:
-            from multiprocessing import Pool  # here so that importing the package does not load it
+            from multiprocessing import Pool  # here so that a run in one process does not load it
 
+            # costliest first, ties in canonical order, so no worker ends on a long source alone
+            order = sorted(pending, key=cost.__getitem__, reverse=True)
             workers = min(jobs, len(pending))
             chunk = max(1, len(pending) // (workers * 8))
             with Pool(processes=workers) as pool:
-                _collect(pool.imap(_worker, pending, chunksize=chunk), per_source, writer)
+                _collect(pool.imap_unordered(_worker, order, chunksize=chunk), per_source, writer)
     finally:
         if writer is not None:
             writer.close()
@@ -399,6 +422,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
         "triads": len(report.triads),
         "lambda_members": len(report.lambda_members),
         "jobs": jobs,
+        "workers": workers,
         "wall_time_ms": {
             "search": (t_search - t0) * 1000.0,
             "expand": (t_end - t_search) * 1000.0,
@@ -473,16 +497,21 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
     or expanded by enumerate_lambda.
 
     lambda_members is derived here and only here: the box wavenumbers
-    appearing (up to sign) in some triad.
+    appearing (up to sign) in some triad. A triad without a member in the
+    box is not a result of the box and raises ValueError.
     """
     triad_set = frozenset(triads)
     m2 = max_norm * max_norm
     members: set[Wavenumber] = set()
     for t in triad_set:
-        for m in t.members():
-            for s in (m, -m):
-                if s.norm2() <= m2:
-                    members.add(s)
+        inside = [m for m in t.members() if m.norm2() <= m2]
+        if not inside:
+            raise ValueError(
+                f"triad {[list(m) for m in t.members()]} has no member inside the box "
+                f"|n| <= {max_norm}"
+            )
+        members.update(inside)
+        members.update(-m for m in inside)
     return EnumerationReport(max_norm, triad_set, frozenset(members), stats={})
 
 

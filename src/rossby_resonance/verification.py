@@ -8,14 +8,16 @@ desk-scale bound rather than taken on faith.
 The axis check solves the Gaussian norm equation of partner_search's
 _norm_hits at each (n1, 0); checked counts the cells of its search disk.
 The brute-force disk scan, naive_partner_oracle, is only the oracle that
-tests compare it with.
+tests compare it with. The lemma check tests only the primitive 120 degree
+pairs, which decide every pair by a factorisation; the pair sweep
+_lemma_sweep is its oracle.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from .exact_core import (
@@ -87,17 +89,37 @@ def verify_axis_theorem(n1_max: int) -> VerificationReport:
     )
 
 
-def verify_diophantine_lemma(b_max: int) -> VerificationReport:
-    """X^4 + X^2 Y^2 + Y^4 is never a perfect square for 1 <= X <= Y <= b_max.
+def _primitive_120_pairs(b_max: int) -> Iterator[tuple[int, int, int]]:
+    """(x, y, z) with gcd(x, y) = 1, 1 <= x < y <= b_max and
+    x^2 + xy + y^2 = z^2: the primitive integer triangles with a 120 degree
+    angle, unordered.
 
-    X = 0 or Y = 0 always give squares and are the excluded trivial
-    solutions. Perfect squares are detected with the exact integer square
-    root; only even powers appear, so negative values need no extra sweep.
+    The conic X^2 + XY + Y^2 = 1 holds (-1, 0), and the line
+    Y = t (X + 1) meets it again at X = (1 - t^2)/(1 + t + t^2),
+    Y = (2t + t^2)/(1 + t + t^2). So a primitive solution with x, y > 0 has
+    t = y/(x + z) = n/m in lowest terms with 0 < n < m (y < z), and is
+    (m^2 - n^2, 2mn + n^2, m^2 + mn + n^2)/g with g the gcd of the three.
+    A prime p | g divides y = n (2m + n) and z - x = n (m + 2n) but not n
+    (else p | m^2), so p | 2 (m + 2n) - (2m + n) = 3n and p = 3. 9 | g
+    would need m = n + 3k with 3 | k, from 9 | x = 3k (2n + 3k), and then
+    3 | n, from 9 | y = 3n (n + 2k); so g is 3 when m = n (mod 3) and 1
+    otherwise. Each t gives one ordered pair, so keeping x < y lists each
+    unordered pair once (x = y = 1 gives 3, no square). With g <= 3, y <= b_max needs 2mn + n^2 <= 3 b_max, which
+    grows with n, and x < y makes m^2 = g x + n^2 <= 2 g y <= 6 b_max.
     """
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
-    t0 = time.perf_counter()
-    checked = 0
+    for m in range(2, isqrt(6 * b_max) + 1):
+        for n in range(1, m):
+            if 2 * m * n + n * n > 3 * b_max:
+                break
+            g = 3 if (m - n) % 3 == 0 else 1
+            x, y = (m * m - n * n) // g, (2 * m * n + n * n) // g
+            if x < y <= b_max and gcd(m, n) == 1:
+                yield x, y, (m * m + m * n + n * n) // g
+
+
+def _lemma_sweep(b_max: int) -> list[tuple[int, int, int]]:
+    """Brute-force oracle for verify_diophantine_lemma: (x, y, r) for every
+    1 <= x <= y <= b_max with x^4 + x^2 y^2 + y^4 = r^2."""
     counterexamples = []
     for x in range(1, b_max + 1):
         x2 = x * x
@@ -105,15 +127,45 @@ def verify_diophantine_lemma(b_max: int) -> VerificationReport:
         for y in range(x, b_max + 1):
             y2 = y * y
             val = x4 + x2 * y2 + y2 * y2
-            checked += 1
             r = isqrt(val)
             if r * r == val:
                 counterexamples.append((x, y, r))
+    return counterexamples
+
+
+def verify_diophantine_lemma(b_max: int) -> VerificationReport:
+    """X^4 + X^2 Y^2 + Y^4 is never a perfect square for 1 <= X <= Y <= b_max.
+
+    X = 0 or Y = 0 always give squares and are the excluded trivial
+    solutions. Every pair is decided, so checked is b_max (b_max + 1)/2,
+    but only the primitive 120 degree pairs are tested:
+
+    - A pair d (x, y) with gcd(x, y) = 1 gives d^4 times the value of
+      (x, y), so it is a square exactly when that one is.
+    - For coprime x, y the value is A B with A = x^2 + xy + y^2 and
+      B = x^2 - xy + y^2. Both are odd, since x and y are not both even.
+      A common prime factor p would divide A - B = 2xy and A + B =
+      2 (x^2 + y^2), so p divides x or y and then both. So A and B are
+      coprime, and A B is a square exactly when A and B both are.
+    - The coprime pairs with A a square are _primitive_120_pairs; each
+      is decided by the exact square test on B.
+    """
+    if b_max < 1:
+        raise ValueError("b_max must be >= 1")
+    t0 = time.perf_counter()
+    counterexamples = []
+    for x, y, z in _primitive_120_pairs(b_max):
+        q = x * x - x * y + y * y
+        r = isqrt(q)
+        if r * r == q:
+            counterexamples.extend(
+                (d * x, d * y, d * d * z * r) for d in range(1, b_max // y + 1)
+            )
     return VerificationReport(
         claim="quartic-form-never-square",
         bounds={"b_max": b_max},
-        checked=checked,
-        counterexamples=counterexamples,
+        checked=b_max * (b_max + 1) // 2,
+        counterexamples=sorted(counterexamples),
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
 

@@ -219,6 +219,10 @@ MALFORMED_INPUTS = [
     # a triad that holds neither the source nor its negation
     (["enumerate", "--max-norm", "5", "--cache"],
      CACHE_HEADER + '{"n":[1,1],"triads":[[[-16,2],[1,8],[15,-10]]]}\n', "line 2"),
+    # a triad with no member inside the header's box
+    (["clusters", "--in"], '{"schema":1,"max_norm":5,"quadrant":true}\n'
+     '{"triad":[[-16,2],[1,8],[15,-10]],"source_n":[1,8],"norms2":[260,65,325]}\n',
+     "input.jsonl: triad [[-16, 2], [1, 8], [15, -10]] has no member inside the box"),
     # bytes that are not UTF-8: the message names the file
     (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
      "input.jsonl has a corrupt header line"),
@@ -235,8 +239,8 @@ MALFORMED_INPUTS = [
          "cache-origin", "cache-outside-box", "cache-schema-1",
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
-         "cache-float-component", "cache-foreign-triad", "cache-binary", "clusters-binary",
-         "stats-binary"],
+         "cache-float-component", "cache-foreign-triad", "clusters-triad-outside-box",
+         "cache-binary", "clusters-binary", "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     path = tmp_path / "input.jsonl"
@@ -364,6 +368,15 @@ class TestConfig:
         monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
         assert run(["stats", "--max-norm", "5"]) == 2
 
+    def test_non_integer_value_names_its_line(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("bins = 4\njobs = abc\n")
+        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
+        assert run(["stats", "--max-norm", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:2: jobs must be an integer, got 'abc'\n"
+        )
+
     def test_missing_config_file_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", "/nonexistent/cfg")
         assert run(["check", "1", "11", "-8", "34"]) == 2
@@ -459,3 +472,22 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_small_parallel_enumerate_neither_imports_multiprocessing_nor_forks():
+    # box 20 is below POOL_MIN_QUARTICS, so --jobs 2 runs in one process
+    src = str(Path(rossby_resonance.__file__).resolve().parent.parent)
+    script = (
+        "import os, sys; from rossby_resonance.cli import run; "
+        "code = run(['enumerate', '--max-norm', '20', '--jobs', '2', '--out', os.devnull]); "
+        "print(code, 'multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+    assert ", jobs 2, " in proc.stderr

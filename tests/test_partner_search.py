@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import accumulate
 from math import isqrt
 
 import pytest
@@ -13,12 +14,14 @@ from rossby_resonance.exact_core import (
     quartic_coeffs,
 )
 from rossby_resonance.partner_search import (
+    POOL_MIN_QUARTICS,
     EnumerationReport,
     _cache_header,
     _column_hits,
     _dump_line,
     _norm_hits,
     _outer_columns,
+    _outer_count,
     _partner_columns,
     _quadrant_points,
     _worker,
@@ -265,9 +268,21 @@ class TestEnumerateLambda:
         assert serial.lambda_members == parallel.lambda_members
         assert report_to_jsonl(serial) == report_to_jsonl(parallel)
 
-    def test_pool_has_no_more_workers_than_pending_sources(self, monkeypatch):
+    def test_pool_has_no_more_workers_than_pending_sources(self, monkeypatch, tmp_path):
         import multiprocessing
 
+        # a box-35 cache that leaves pending only the fewest costliest sources
+        # whose summed cost reaches POOL_MIN_QUARTICS, fewer than jobs; in
+        # canonical order with the costliest first, the order the pool is fed
+        cache = tmp_path / "cache.jsonl"
+        full = enumerate_lambda(35, cache_path=cache)
+        by_cost = sorted(_quadrant_points(35), key=_outer_count, reverse=True)
+        totals = accumulate(map(_outer_count, by_cost))
+        pending = by_cost[: next(i for i, t in enumerate(totals, 1) if t >= POOL_MIN_QUARTICS)]
+        lines = cache.read_text().splitlines(True)
+        cache.write_text(lines[0] + "".join(
+            line for line in lines[1:] if Wavenumber(*json.loads(line)["n"]) not in pending))
+        jobs = len(pending) + 5
         started = []
 
         class InProcessPool:
@@ -280,16 +295,43 @@ class TestEnumerateLambda:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, func, iterable, chunksize):
-                started.append(chunksize)
-                return map(func, iterable)
+            def imap_unordered(self, func, iterable, chunksize):
+                order = list(iterable)
+                started.append((chunksize, order))
+                return map(func, reversed(order))
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        report = enumerate_lambda(2, jobs=8)
-        # the box-2 quadrant holds 3 sources: (1, 0), (1, 1) and (2, 0)
-        assert started == [3, 1]
-        assert report.stats["jobs"] == 8
-        assert report == enumerate_lambda(2)
+        report = enumerate_lambda(35, jobs=jobs, cache_path=cache)
+        assert started == [len(pending), (1, pending)]
+        assert report.stats["jobs"] == jobs
+        assert report.stats["workers"] == len(pending)
+        assert report.stats["cache_hits"] == report.stats["quadrant_points"] - len(pending)
+        assert report_to_jsonl(report) == report_to_jsonl(full)
+
+    def test_small_box_runs_in_one_process(self):
+        report = enumerate_lambda(20, jobs=2)
+        assert sum(map(_outer_count, _quadrant_points(20))) < POOL_MIN_QUARTICS
+        assert report.stats["workers"] == 0
+        assert report.stats["jobs"] == 2
+        assert enumerate_lambda(20).stats["workers"] == 0
+
+    def test_pool_run_matches_one_process_and_resumes(self, tmp_path):
+        # box 35 solves 22 405 quartics, enough to start the pool
+        serial = report_to_jsonl(enumerate_lambda(35, jobs=1))
+        cache = tmp_path / "cache.jsonl"
+        pooled = enumerate_lambda(35, jobs=2, cache_path=cache)
+        assert pooled.stats["workers"] == 2
+        assert report_to_jsonl(pooled) == serial
+        data = cache.read_bytes()
+        cache.write_bytes(data[: len(data) // 2])
+        resumed = enumerate_lambda(35, jobs=2, cache_path=cache)
+        assert 0 < resumed.stats["cache_hits"] < resumed.stats["quadrant_points"]
+        assert report_to_jsonl(resumed) == serial
+
+    def test_outer_count_is_the_column_count(self):
+        points = _quadrant_points(35)
+        assert all(_outer_count(n) == len(list(_outer_columns(n))) for n in points)
+        assert sum(map(_outer_count, points)) == 22405
 
 
 class TestJsonl:

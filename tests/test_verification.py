@@ -1,4 +1,5 @@
 import json
+from math import gcd, isqrt
 
 import pytest
 
@@ -13,6 +14,8 @@ from rossby_resonance.partner_search import (
 from rossby_resonance import verification
 from rossby_resonance.verification import (
     _axis_disk_cells,
+    _lemma_sweep,
+    _primitive_120_pairs,
     check_proof_identity,
     generate_family,
     verify_axis_theorem,
@@ -121,6 +124,37 @@ class TestDiophantineLemma:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             verify_diophantine_lemma(0)
+
+    @pytest.mark.parametrize("b_max", [50, 300])
+    def test_factorisation_matches_the_pair_sweep(self, b_max):
+        report = verify_diophantine_lemma(b_max)
+        assert report.counterexamples == _lemma_sweep(b_max)
+        assert report.checked == b_max * (b_max + 1) // 2
+
+    def test_square_second_factor_is_reported_with_its_multiples(self, monkeypatch):
+        # no real pair has both factors square, so feed a fake primitive pair
+        # with x^2 - xy + y^2 = 49 and a made-up z = 10
+        monkeypatch.setattr(verification, "_primitive_120_pairs", lambda b_max: [(3, 8, 10)])
+        report = verify_diophantine_lemma(20)
+        assert report.counterexamples == [(3, 8, 70), (6, 16, 280)]
+        assert report.checked == 210
+
+    @pytest.mark.parametrize("b_max", [50, 300])
+    def test_primitive_120_pairs_match_brute_force(self, b_max):
+        def is_square(v):
+            return isqrt(v) ** 2 == v
+
+        brute = [
+            (x, y)
+            for x in range(1, b_max + 1)
+            for y in range(x, b_max + 1)
+            if gcd(x, y) == 1 and is_square(x * x + x * y + y * y)
+        ]
+        listed = list(_primitive_120_pairs(b_max))
+        assert sorted((x, y) for x, y, _ in listed) == brute
+        assert all(z * z == x * x + x * y + y * y for x, y, z in listed)
+        # (11, 24) comes from (m, n) = (7, 4) with g = 3, after (7, 3) overshoots
+        assert (3, 5) in brute and (11, 24) in brute
 
 
 class TestGenerateFamily:
