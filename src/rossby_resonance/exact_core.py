@@ -16,7 +16,9 @@ the three fractions turns that relation, for fixed n and first component x of
 k, into a quartic in the second component y with integer coefficients; the
 quartic is the workhorse of the fast partner search. Read as Gaussian
 integers, the same relation is a norm equation whose solutions the
-factorisation of |n|^2 lists (gaussian_norm_solutions), with no columns.
+factorisation of |n|^2 lists (gaussian_norm_solutions), with no columns;
+_norm_hits keeps the solutions that are partners, and the axis verifier
+decides every (n1, 0) with it.
 
 No floating point appears anywhere on a verdict path.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class TrivialInteractionError(ValueError):
@@ -385,13 +387,6 @@ def _gmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
     return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
-def _gpow(z: tuple[int, int], e: int) -> tuple[int, int]:
-    acc = (1, 0)
-    for _ in range(e):
-        acc = _gmul(acc, z)
-    return acc
-
-
 @lru_cache(maxsize=1 << 14)  # bounded: the primes met grow with the inputs
 def _split_prime(p: int) -> tuple[int, int]:
     """(a, b) with a^2 + b^2 = p, for a prime p = 1 (mod 4).
@@ -422,9 +417,9 @@ def gaussian_norm_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
     with 0 <= j <= e for each p^e; an odd f admits no G. Each G is listed
     once.
 
-    This lists the partners of a wavenumber n. Read n and k as Gaussian
-    integers, so that sigma(k) = Re(1/k), and let b = |n|^2 and
-    Z = 2k - n. Then k (n - k) = (n^2 - Z^2)/4, so
+    _norm_hits lists the partners of a wavenumber n with it. Read n and k
+    as Gaussian integers, so that sigma(k) = Re(1/k), and let b = |n|^2
+    and Z = 2k - n. Then k (n - k) = (n^2 - Z^2)/4, so
 
         1/k + 1/(n - k) = n / (k (n - k)) = 4n / W,  W = n^2 - Z^2,
 
@@ -444,16 +439,17 @@ def gaussian_norm_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
     """
     solutions = [(1, 0)]
     for p, e in factors.items():
-        if p == 2:
-            powers = [_gpow((1, 1), e)]
-        elif p % 4 == 3:
+        if p % 4 == 3:
             if e % 2:
                 return []
             powers = [(p ** (e // 2), 0)]
         else:
-            pi = _split_prime(p)
-            conj = (pi[0], -pi[1])
-            powers = [_gmul(_gpow(pi, j), _gpow(conj, e - j)) for j in range(e + 1)]
+            pi = (1, 1) if p == 2 else _split_prime(p)
+            up = [(1, 0)]  # pi^j as running products, and conj(pi)^j = conj(pi^j)
+            for _ in range(e):
+                up.append(_gmul(up[-1], pi))
+            down = [(a, -b) for a, b in reversed(up)]  # conj(pi)^(e - j) at j
+            powers = up[e:] if p == 2 else list(map(_gmul, up, down))
         solutions = [_gmul(g, h) for g in solutions for h in powers]
     return [u for g1, g2 in solutions for u in ((g1, g2), (-g2, g1), (-g1, -g2), (g2, -g1))]
 
@@ -476,3 +472,33 @@ def _gaussian_sqrt(c: tuple[int, int]) -> tuple[int, int] | None:
     if 2 * a * a != s + c1 or 2 * b * b != s - c1:
         return None
     return a, b if c2 >= 0 else -b
+
+
+def _norm_hits(n, factors_of_b) -> Iterator[Wavenumber]:
+    """Resonant k of n from the Gaussian norm equation, both legs of each
+    decomposition; factors_of_b is the factorisation {p: e} of b = |n|^2.
+
+    Every partner k has G = n1 Z^2 + n (2b - n1 n) of norm 4 b^3, with
+    Z = 2k - n (see gaussian_norm_solutions). So each such G is kept when
+    Z^2 = (G - n (2b - n1 n)) / n1 is a Gaussian square with Z = n (mod 2),
+    and gives k = (Z + n)/2 and its complement from -Z. The trivial
+    columns x = 0 and x = n1 are skipped, and every hit is confirmed with
+    is_resonant.
+    """
+    n1, n2 = n
+    if n1 == 0:
+        raise ValueError("partner search requires a nonzero zonal component")
+    factors = {p: 3 * e for p, e in factors_of_b.items()}
+    factors[2] = factors.get(2, 0) + 2
+    m1, m2 = n1 * (n1 * n1 + 3 * n2 * n2), 2 * n2**3  # n (2b - n1 n)
+    for g1, g2 in gaussian_norm_solutions(factors):
+        c1, c2 = g1 - m1, g2 - m2
+        if c1 % n1 or c2 % n1:
+            continue
+        z = _gaussian_sqrt((c1 // n1, c2 // n1))
+        if z is None or (z[0] - n1) % 2 or (z[1] - n2) % 2:
+            continue
+        for z1, z2 in (z, (-z[0], -z[1])):
+            k = Wavenumber((z1 + n1) // 2, (z2 + n2) // 2)
+            if k.n1 != 0 and k.n1 != n1 and is_resonant(n, k):
+                yield k

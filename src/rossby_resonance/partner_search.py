@@ -13,10 +13,6 @@ only an oracle: naive_partner_oracle runs it over the disk
 |k| <= search_radius(n) = ceil(2 |n|^2 / |n1|) (the triangle inequality on
 the three dispersion terms), and tests compare the fast paths with it.
 
-_norm_hits lists the partners of any n without columns, from the Gaussian
-integers of norm 4 |n|^6 (see exact_core.gaussian_norm_solutions).
-verify_axis_theorem decides the axis claim with it alone.
-
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
 without affecting the output. Each source solves only its x < 0 branch,
@@ -40,10 +36,8 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
-    _gaussian_sqrt,
     _integer_roots_between,
     canonical_triad,
-    gaussian_norm_solutions,
     is_resonant,
     quartic_coeffs,
     sign_class,
@@ -161,36 +155,6 @@ def _cell_hits(n, columns) -> Iterator[Wavenumber]:
         for y in range(lo, hi + 1):
             if is_resonant(n, (x, y)):
                 yield Wavenumber(x, y)
-
-
-def _norm_hits(n, factors_of_b) -> Iterator[Wavenumber]:
-    """Resonant k of n from the Gaussian norm equation, both legs of each
-    decomposition; factors_of_b is the factorisation {p: e} of b = |n|^2.
-
-    Every partner k has G = n1 Z^2 + n (2b - n1 n) of norm 4 b^3, with
-    Z = 2k - n (see gaussian_norm_solutions). So each such G is kept when
-    Z^2 = (G - n (2b - n1 n)) / n1 is a Gaussian square with Z = n (mod 2),
-    and gives k = (Z + n)/2 and its complement from -Z. The trivial
-    columns x = 0 and x = n1 are skipped, and every hit is confirmed with
-    is_resonant.
-    """
-    n1, n2 = n
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
-    factors = {p: 3 * e for p, e in factors_of_b.items()}
-    factors[2] = factors.get(2, 0) + 2
-    m1, m2 = n1 * (n1 * n1 + 3 * n2 * n2), 2 * n2**3  # n (2b - n1 n)
-    for g1, g2 in gaussian_norm_solutions(factors):
-        c1, c2 = g1 - m1, g2 - m2
-        if c1 % n1 or c2 % n1:
-            continue
-        z = _gaussian_sqrt((c1 // n1, c2 // n1))
-        if z is None or (z[0] - n1) % 2 or (z[1] - n2) % 2:
-            continue
-        for z1, z2 in (z, (-z[0], -z[1])):
-            k = Wavenumber((z1 + n1) // 2, (z2 + n2) // 2)
-            if k.n1 != 0 and k.n1 != n1 and is_resonant(n, k):
-                yield k
 
 
 def find_partners(n) -> list[Wavenumber]:
@@ -465,8 +429,11 @@ def report_to_jsonl(report: EnumerationReport) -> str:
 def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]:
     """Parse a JSONL triad stream: (header, triads). Unknown records are skipped.
 
-    The header is the first non-blank line if it has a schema. A cache file
-    is rejected: its unexpanded source triads would read as a wrong result.
+    The header is the first non-blank line if it has a schema, which must be
+    JSONL_SCHEMA. A cache file is rejected: its unexpanded source triads
+    would read as a wrong result. A triad record's derived fields, when
+    present, must hold: norms2 the members' squared norms, and source_n a
+    member up to sign.
     """
     header: dict | None = None
     triads: list[ResonantTriad] = []
@@ -484,11 +451,23 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
             header = rec if "schema" in rec and "triad" not in rec else {}
             if header.get("kind") == "cache":
                 raise ValueError(f'line {i}: a resume cache ("kind":"cache"), not a result file')
+            schema = header.get("schema", JSONL_SCHEMA)
+            if type(schema) is not int or schema != JSONL_SCHEMA:
+                raise ValueError(f"line {i}: unknown schema {schema!r}, expected {JSONL_SCHEMA}")
         if "triad" in rec:
             try:
-                triads.append(ResonantTriad.from_members(*_wavenumbers(rec["triad"])))
+                members = _wavenumbers(rec["triad"])
+                triad = ResonantTriad.from_members(*members)
+                (source,) = _wavenumbers([rec.get("source_n", members[0])])
+                norms2 = [m.norm2() for m in members]
+                given = rec.get("norms2", norms2)
+                if given != norms2 or any(type(v) is not int for v in given):
+                    raise ValueError(f"norms2 {given} are not the squared norms {norms2}")
+                if source not in triad and -source not in triad:
+                    raise ValueError(f"source_n {list(source)} is not a member up to sign")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {i}: not a triad record: {exc}") from exc
+            triads.append(triad)
     return header or {}, triads
 
 

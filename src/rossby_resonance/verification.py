@@ -5,12 +5,12 @@ reports counts and wall time. An empty counterexample list is the expected
 outcome for every claim; the harness exists to make that checkable at any
 desk-scale bound rather than taken on faith.
 
-The axis check solves the Gaussian norm equation of partner_search's
-_norm_hits at each (n1, 0); checked counts the cells of its search disk.
-The brute-force disk scan, naive_partner_oracle, is only the oracle that
-tests compare it with. The lemma check tests only the primitive 120 degree
-pairs, which decide every pair by a factorisation; the pair sweep
-_lemma_sweep is its oracle.
+The axis check solves the Gaussian norm equation with exact_core's
+_norm_hits at each (n1, 0); checked counts the wavenumbers it decides.
+The brute-force disk scan, partner_search's naive_partner_oracle, is only
+the oracle that tests compare it with. The lemma check tests only the
+primitive 120 degree pairs, which decide every pair by a factorisation;
+the pair sweep _lemma_sweep is its oracle.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from .exact_core import (
     ResonantTriad,
     Wavenumber,
     _factor,
+    _norm_hits,
     _poly_eval,
     canonical_triad,
     is_resonant,
     quartic_coeffs,
 )
-from .partner_search import _norm_hits
 
 
 class VerificationReport(NamedTuple):
@@ -51,39 +51,26 @@ class VerificationReport(NamedTuple):
         return doc
 
 
-def _axis_disk_cells(n1: int) -> int:
-    """The cells of partner_search._disk_columns((n1, 0)): the radius is
-    2 n1, the columns x and -x are counted as a pair over x >= 1, and the
-    column x = n1 is taken out."""
-    r2 = 4 * n1 * n1
-    half = sum(2 * isqrt(r2 - x * x) + 1 for x in range(1, 2 * n1 + 1))
-    return 2 * half - (2 * isqrt(r2 - n1 * n1) + 1)
-
-
 def verify_axis_theorem(n1_max: int) -> VerificationReport:
     """No purely zonal wavenumber admits a non-trivial resonant decomposition.
 
-    For every n1 in [1, n1_max] every admissible (x, y) of the search disk
-    of (n1, 0) is decided non-resonant; checked counts those disk cells.
-    Negative n1 follows from the zonal mirror symmetry. The cells are
-    decided at once by the norm equation of _norm_hits, which lists every
-    partner of (n1, 0) from the Gaussian integers of norm 4 n1^6; since
-    b = n1^2, the factors of n1 with doubled exponents give them, and no
-    cell is tested on its own.
+    Every (n1, 0) with n1 in [1, n1_max] is decided to have no partner, and
+    checked counts these n1; negative n1 follows from the zonal mirror
+    symmetry. _norm_hits lists every partner of (n1, 0) from the Gaussian
+    integers of norm 4 n1^6; since b = n1^2, the factors of n1 with doubled
+    exponents give them, and no cell of a search disk is tested.
     """
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
     t0 = time.perf_counter()
-    checked = 0
     counterexamples: list = []
     for n1 in range(1, n1_max + 1):
-        checked += _axis_disk_cells(n1)
         hits = sorted(_norm_hits((n1, 0), {p: 2 * e for p, e in _factor(n1).items()}))
         counterexamples.extend((n1, x, y) for x, y in hits)
     return VerificationReport(
         claim="axis-exclusion",
         bounds={"n1_max": n1_max},
-        checked=checked,
+        checked=n1_max,
         counterexamples=counterexamples,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )

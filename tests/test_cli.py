@@ -223,6 +223,14 @@ MALFORMED_INPUTS = [
     (["clusters", "--in"], '{"schema":1,"max_norm":5,"quadrant":true}\n'
      '{"triad":[[-16,2],[1,8],[15,-10]],"source_n":[1,8],"norms2":[260,65,325]}\n',
      "input.jsonl: triad [[-16, 2], [1, 8], [15, -10]] has no member inside the box"),
+    # a result header of another schema
+    (["clusters", "--in"], '{"schema":99,"max_norm":20,"quadrant":true}\n'
+     '{"triad":[[-9,23],[1,11],[8,-34]],"source_n":[1,11],"norms2":[610,122,1220]}\n',
+     "line 1: unknown schema 99"),
+    # derived fields that do not match the triad
+    (["stats", "--in"], '{"schema":1,"max_norm":20,"quadrant":true}\n'
+     '{"triad":[[-9,23],[1,11],[8,-34]],"source_n":[5,5],"norms2":[1,2,3]}\n',
+     "line 2: not a triad record: norms2 [1, 2, 3]"),
     # bytes that are not UTF-8: the message names the file
     (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
      "input.jsonl has a corrupt header line"),
@@ -240,6 +248,7 @@ MALFORMED_INPUTS = [
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
          "cache-float-component", "cache-foreign-triad", "clusters-triad-outside-box",
+         "clusters-schema-99", "stats-wrong-derived-fields",
          "cache-binary", "clusters-binary", "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
@@ -444,7 +453,7 @@ def test_package_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
-    assert lines[1] == "0 counterexamples / 573 cases"
+    assert lines[1] == "0 counterexamples / 5 cases"
     assert lines[2] == "0"
 
 

@@ -10,6 +10,7 @@ from rossby_resonance.exact_core import (
     Wavenumber,
     _factor,
     _integer_roots_between,
+    _norm_hits,
     canonical_triad,
     quartic_coeffs,
 )
@@ -19,11 +20,11 @@ from rossby_resonance.partner_search import (
     _cache_header,
     _column_hits,
     _dump_line,
-    _norm_hits,
     _outer_columns,
     _outer_count,
     _partner_columns,
     _quadrant_points,
+    _triad_record,
     _worker,
     enumerate_lambda,
     find_partners,
@@ -33,6 +34,7 @@ from rossby_resonance.partner_search import (
     report_to_jsonl,
     search_radius,
 )
+from rossby_resonance.verification import _family_triads, generate_family
 
 
 def _uncapped_partners(n):
@@ -371,6 +373,33 @@ class TestJsonl:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             read_triads_jsonl(["not json at all"])
+
+    def test_derived_fields_must_match_the_triad(self):
+        triad = [[-9, 23], [1, 11], [8, -34]]
+
+        def read(**fields):
+            return read_triads_jsonl(["", _dump_line({"triad": triad, **fields})])[1]
+
+        expected = [ResonantTriad.from_members(*triad)]
+        assert read() == expected
+        assert read(source_n=[-8, 34], norms2=[610, 122, 1220]) == expected
+        for fields in ({"source_n": [5, 5]}, {"source_n": [1, 11.0]}, {"source_n": 1},
+                       {"norms2": [1, 2, 3]}, {"norms2": [610, 122, 1220.0]},
+                       {"norms2": [122, 610, 1220]}, {"norms2": 5}):
+            with pytest.raises(ValueError, match="line 2: not a triad record"):
+                read(**fields)
+
+    def test_family_records_pass_the_derived_field_checks(self):
+        # a family record's source_n is its n, a member up to sign
+        lines = [_dump_line(_triad_record(t, n)) for n, t in _family_triads(5, 5)]
+        assert read_triads_jsonl(lines)[1] == generate_family(5, 5)
+
+    def test_rejects_a_header_of_another_schema(self):
+        for schema in (2, 99, "1", True):
+            with pytest.raises(ValueError, match="line 1: unknown schema"):
+                read_triads_jsonl([_dump_line({"schema": schema, "max_norm": 5})])
+        assert read_triads_jsonl([_dump_line({"schema": 1, "max_norm": 5})]) == (
+            {"schema": 1, "max_norm": 5}, [])
 
 
 class TestCache:

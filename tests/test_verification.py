@@ -3,17 +3,15 @@ from math import gcd, isqrt
 
 import pytest
 
-from rossby_resonance.exact_core import Wavenumber, _factor, is_resonant
+from rossby_resonance.exact_core import Wavenumber, _factor, _norm_hits, is_resonant
 from rossby_resonance.partner_search import (
     _cell_hits,
     _column_hits,
     _disk_columns,
-    _norm_hits,
     naive_partner_oracle,
 )
 from rossby_resonance import verification
 from rossby_resonance.verification import (
-    _axis_disk_cells,
     _lemma_sweep,
     _primitive_120_pairs,
     check_proof_identity,
@@ -27,8 +25,8 @@ class TestAxisTheorem:
     def test_smallest_disk(self):
         report = verify_axis_theorem(1)
         assert report.counterexamples == []
-        # disk of radius 2 around (1, 0): x in {-2, -1, 2}, y constrained
-        assert report.checked == 5
+        # one zonal wavenumber, (1, 0), is decided
+        assert report.checked == 1
         assert report.consistent
 
     def test_moderate_range_clean(self):
@@ -37,16 +35,10 @@ class TestAxisTheorem:
         assert report.claim == "axis-exclusion"
         assert report.bounds == {"n1_max": 40}
 
-    def test_half_disk_count_equals_the_disk_columns(self):
-        for n1 in range(1, 81):
-            disk = sum(hi - lo + 1 for _, lo, hi in _disk_columns((n1, 0)))
-            assert _axis_disk_cells(n1) == disk
-
     def test_vector_and_scalar_paths_agree(self):
         fast = verify_axis_theorem(25)
         slow = [(n1, x, y) for n1 in range(1, 26) for x, y in naive_partner_oracle((n1, 0))]
-        disk = sum(hi - lo + 1 for n1 in range(1, 26) for _, lo, hi in _disk_columns((n1, 0)))
-        assert fast.checked == disk
+        assert fast.checked == 25
         assert fast.counterexamples == slow == []
 
     def test_column_and_scalar_scans_agree_per_n1(self):
