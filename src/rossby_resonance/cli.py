@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, dispatch and printing only.
+
+The result-file format (header, records, their checks on reading) belongs
+to partner_search; this module passes text and open files through.
 
 Subcommands: check, partners, enumerate, clusters, verify-axis, verify-lemma,
 verify-identity, family, stats. Exit codes: 0 on success, 1 when a verify-*
@@ -22,19 +25,16 @@ from .cluster_graph import build_components, clusters_to_json
 from .exact_core import residual
 from .partner_search import (
     EnumerationReport,
-    _dump_line,
-    _triad_record,
     enumerate_lambda,
+    family_to_jsonl,
     find_partners,
     histogram_to_csv,
-    read_triads_jsonl,
-    report_from_triads,
+    read_report,
     report_to_jsonl,
     stats_anisotropy,
 )
 from .verification import (
     VerificationReport,
-    _family_triads,
     check_proof_identity,
     verify_axis_theorem,
     verify_diophantine_lemma,
@@ -197,17 +197,13 @@ def _cmd_stats(args) -> int:
 
 
 def _load_report(args) -> EnumerationReport:
-    if args.in_path is not None:
-        try:
-            with open(args.in_path, "r", encoding="utf-8") as fh:
-                header, triads = read_triads_jsonl(fh)
-            max_norm = header.get("max_norm")
-            if type(max_norm) is not int or max_norm < 1:
-                raise ValueError(f"header max_norm must be an integer >= 1, got {max_norm!r}")
-            return report_from_triads(max_norm, triads)
-        except ValueError as exc:  # a malformed record or header, a triad outside the box, non-UTF-8
-            raise ValueError(f"{args.in_path}: {exc}") from exc
-    return enumerate_lambda(args.max_norm, jobs=args.jobs)
+    if args.in_path is None:
+        return enumerate_lambda(args.max_norm, jobs=args.jobs)
+    try:
+        with open(args.in_path, "r", encoding="utf-8") as fh:
+            return read_report(fh)
+    except ValueError as exc:  # a malformed record or header, a triad outside the box, non-UTF-8
+        raise ValueError(f"{args.in_path}: {exc}") from exc
 
 
 def _stats_summary(report: EnumerationReport) -> str:
@@ -245,10 +241,7 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    lines = [_dump_line({"schema": 1, "m_max": args.m_max, "l_max": args.l_max})]
-    for n, triad in _family_triads(args.m_max, args.l_max):
-        lines.append(_dump_line(_triad_record(triad, n)))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, family_to_jsonl(args.m_max, args.l_max))
     return 0
 
 

@@ -21,6 +21,11 @@ from a member in the box; enumerate_lambda proves it. Results can be
 streamed to a JSON Lines cache so an interrupted run resumes where it
 stopped.
 
+This module owns the result file, JSON Lines with a header naming the box
+and one record per triad: report_to_jsonl and family_to_jsonl write it,
+read_triads_jsonl, report_from_triads and read_report read and check it.
+A family file is a result file whose box holds every family member.
+
 The angular histogram of the resonant set lives here too; its binning is the
 package's only floating point, and no verdict depends on it.
 """
@@ -42,6 +47,7 @@ from .exact_core import (
     quartic_coeffs,
     sign_class,
 )
+from .verification import _family_triads
 
 JSONL_SCHEMA = 1
 CACHE_SCHEMA = 2
@@ -426,6 +432,21 @@ def report_to_jsonl(report: EnumerationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def family_to_jsonl(m_max: int, l_max: int) -> str:
+    """The family n = (m^4, m l^3) as a result file that read_report accepts.
+
+    One record per member in m-major order, with source_n the member n. The
+    header's max_norm is the smallest box holding every source_n, 1 when
+    there is no member (m_max = l_max = 1).
+    """
+    pairs = list(_family_triads(m_max, l_max))
+    max_norm = max((isqrt(n.norm2() - 1) + 1 for n, _ in pairs), default=1)
+    header = {"schema": JSONL_SCHEMA, "max_norm": max_norm, "m_max": m_max, "l_max": l_max}
+    lines = [_dump_line(header)]
+    lines.extend(_dump_line(_triad_record(triad, n)) for n, triad in pairs)
+    return "\n".join(lines) + "\n"
+
+
 def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]:
     """Parse a JSONL triad stream: (header, triads). Unknown records are skipped.
 
@@ -477,8 +498,11 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
 
     lambda_members is derived here and only here: the box wavenumbers
     appearing (up to sign) in some triad. A triad without a member in the
-    box is not a result of the box and raises ValueError.
+    box is not a result of the box and raises ValueError, and so does a
+    max_norm that is not an integer >= 1.
     """
+    if type(max_norm) is not int or max_norm < 1:
+        raise ValueError(f"max_norm must be an integer >= 1, got {max_norm!r}")
     triad_set = frozenset(triads)
     m2 = max_norm * max_norm
     members: set[Wavenumber] = set()
@@ -492,6 +516,12 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
         members.update(inside)
         members.update(-m for m in inside)
     return EnumerationReport(max_norm, triad_set, frozenset(members), stats={})
+
+
+def read_report(lines: Iterable[str]) -> EnumerationReport:
+    """A result file read back: its triads in the box that its header names."""
+    header, triads = read_triads_jsonl(lines)
+    return report_from_triads(header.get("max_norm"), triads)
 
 
 class AngularHistogram(NamedTuple):

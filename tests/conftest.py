@@ -28,6 +28,11 @@ def report60():
 
 
 @pytest.fixture(scope="session")
+def report35():
+    return enumerate_lambda(35)
+
+
+@pytest.fixture(scope="session")
 def report17():
     return enumerate_lambda(17)
 

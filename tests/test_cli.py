@@ -295,10 +295,22 @@ class TestFamily:
     def test_jsonl_output(self, capsys):
         assert run(["family", "--m-max", "2", "--l-max", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert json.loads(lines[0]) == {"schema": 1, "m_max": 2, "l_max": 2}
+        assert json.loads(lines[0]) == {"schema": 1, "max_norm": 17, "m_max": 2, "l_max": 2}
         records = [json.loads(line) for line in lines[1:]]
         assert [rec["source_n"] for rec in records] == [[1, 8], [16, 2]]
         assert records[0]["triad"] == [[-16, 2], [1, 8], [15, -10]]
+
+    @pytest.mark.parametrize("size, max_norm", [("3", 85), ("1", 1)], ids=["3x3", "empty"])
+    def test_family_file_reads_as_a_result(self, size, max_norm, tmp_path, capsys):
+        fam = tmp_path / "fam.jsonl"
+        assert run(["family", "--m-max", size, "--l-max", size, "--out", str(fam)]) == 0
+        assert json.loads(fam.read_text().splitlines()[0])["max_norm"] == max_norm
+        assert run(["clusters", "--in", str(fam)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_norm"] == max_norm
+        assert bool(doc["clusters"]) == (size != "1")
+        assert run(["stats", "--in", str(fam)]) == 0
+        assert capsys.readouterr().out.startswith("bin_center_radians,count\n")
 
 
 class TestStats:

@@ -14,7 +14,6 @@ from rossby_resonance.cluster_graph import (
     order_clusters,
 )
 from rossby_resonance.exact_core import ResonantTriad, Wavenumber, sign_class
-from rossby_resonance.partner_search import enumerate_lambda
 
 
 def _triad(triple):
@@ -168,8 +167,8 @@ class TestClusterReport:
         )
 
     @pytest.mark.parametrize("order", ["enumerated", "reversed"])
-    def test_box35_document_is_pinned(self, order):
-        triads = list(enumerate_lambda(35).triads)
+    def test_box35_document_is_pinned(self, order, report35):
+        triads = list(report35.triads)
         if order == "reversed":
             triads.reverse()
         doc = clusters_to_json(build_components(triads), 35)

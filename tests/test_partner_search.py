@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import accumulate
@@ -27,8 +28,10 @@ from rossby_resonance.partner_search import (
     _triad_record,
     _worker,
     enumerate_lambda,
+    family_to_jsonl,
     find_partners,
     naive_partner_oracle,
+    read_report,
     read_triads_jsonl,
     report_from_triads,
     report_to_jsonl,
@@ -317,9 +320,9 @@ class TestEnumerateLambda:
         assert report.stats["jobs"] == 2
         assert enumerate_lambda(20).stats["workers"] == 0
 
-    def test_pool_run_matches_one_process_and_resumes(self, tmp_path):
+    def test_pool_run_matches_one_process_and_resumes(self, tmp_path, report35):
         # box 35 solves 22 405 quartics, enough to start the pool
-        serial = report_to_jsonl(enumerate_lambda(35, jobs=1))
+        serial = report_to_jsonl(report35)
         cache = tmp_path / "cache.jsonl"
         pooled = enumerate_lambda(35, jobs=2, cache_path=cache)
         assert pooled.stats["workers"] == 2
@@ -336,7 +339,16 @@ class TestEnumerateLambda:
         assert sum(map(_outer_count, points)) == 22405
 
 
+# sha256 of report_to_jsonl(enumerate_lambda(35)); the body after the header
+# line is the benchmark's BOX_SWEEP_RECORDS_SHA256
+BOX35_JSONL_SHA256 = "539d418f40f25a50d99d8135469cfcdf0321ae59107c20818089437c376d51cc"
+
+
 class TestJsonl:
+    def test_box35_body_is_pinned(self, report35):
+        body = report_to_jsonl(report35)
+        assert hashlib.sha256(body.encode()).hexdigest() == BOX35_JSONL_SHA256
+
     def test_header_and_sorted_records(self, report12):
         body = report_to_jsonl(report12)
         lines = body.splitlines()
@@ -393,6 +405,33 @@ class TestJsonl:
         # a family record's source_n is its n, a member up to sign
         lines = [_dump_line(_triad_record(t, n)) for n, t in _family_triads(5, 5)]
         assert read_triads_jsonl(lines)[1] == generate_family(5, 5)
+
+    def test_read_report_takes_the_box_from_the_header(self, report12):
+        rebuilt = read_report(report_to_jsonl(report12).splitlines())
+        assert rebuilt == report12._replace(stats={})
+        with pytest.raises(ValueError, match="max_norm must be an integer >= 1, got None"):
+            read_report(report_to_jsonl(report12).splitlines()[1:])
+
+    def test_report_from_triads_rejects_a_max_norm_that_is_not_a_box(self):
+        for max_norm in (None, "40", 0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="max_norm must be an integer >= 1"):
+                report_from_triads(max_norm, [])
+
+    @pytest.mark.parametrize("m_max, l_max, max_norm", [(1, 1, 1), (2, 2, 17), (3, 3, 85),
+                                                        (8, 8, 4931), (2, 5, 251)])
+    def test_family_file_is_a_result_file(self, m_max, l_max, max_norm):
+        lines = family_to_jsonl(m_max, l_max).splitlines()
+        assert json.loads(lines[0]) == {
+            "schema": 1, "max_norm": max_norm, "m_max": m_max, "l_max": l_max}
+        pairs = list(_family_triads(m_max, l_max))
+        assert lines[1:] == [_dump_line(_triad_record(t, n)) for n, t in pairs]
+        # max_norm is the smallest box that holds every family member n
+        norms2 = [n.norm2() for n, _ in pairs]
+        assert all(b <= max_norm**2 for b in norms2)
+        assert max_norm == 1 or max(norms2) > (max_norm - 1) ** 2
+        report = read_report(lines)
+        assert report.max_norm == max_norm
+        assert report.triads == frozenset(generate_family(m_max, l_max))
 
     def test_rejects_a_header_of_another_schema(self):
         for schema in (2, 99, "1", True):
