@@ -8,9 +8,8 @@ verify-identity, family, stats. Exit codes: 0 on success, 1 when a verify-*
 run finds a counterexample, 2 on usage errors (including inadmissible check
 inputs and unwritable paths).
 
-Configuration precedence: command-line flags, then the key=value file named
-by the ROSSBY_RESONANCE_CONFIG environment variable, then built-in defaults.
-Only the keys jobs, bins and seed may appear in the config file.
+Flags are the only settings: a command's output depends on its arguments
+and the files they name, and on nothing in the environment.
 """
 
 from __future__ import annotations
@@ -40,33 +39,6 @@ from .verification import (
     verify_diophantine_lemma,
 )
 
-_CONFIG_ENV = "ROSSBY_RESONANCE_CONFIG"
-_DEFAULTS = {"jobs": 1, "bins": 16, "seed": 0}
-
-
-def _load_config(path: str | None) -> dict:
-    values = dict(_DEFAULTS)
-    if not path:
-        return values
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be an integer, got {value!r}"
-                ) from None
-    return values
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -77,7 +49,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser(defaults: dict) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rossby-resonance",
         description="Exact resonant-triad search and verification on the wavenumber lattice.",
@@ -99,13 +71,13 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate triads and resonant-set members in a box")
     p.add_argument("--max-norm", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=defaults["jobs"])
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--cache", metavar="PATH")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_enumerate)
 
     _add_report_command(sub, "clusters", "connected components of the resonance graph",
-                        _cmd_clusters, defaults)
+                        _cmd_clusters)
 
     p = sub.add_parser("verify-axis", help="sweep the zonal axis for resonant decompositions")
     p.add_argument("--max", dest="n1_max", type=_positive_int, required=True)
@@ -120,7 +92,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identity", help="randomized check of the on-axis quartic reduction")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--bound", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_verify_identity)
 
@@ -131,12 +103,12 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     _add_report_command(sub, "stats", "angular histogram of resonant-set members",
-                        _cmd_stats, defaults, bins=True)
+                        _cmd_stats, bins=True)
 
     return parser
 
 
-def _add_report_command(sub, name, help_text, func, defaults, bins=False) -> None:
+def _add_report_command(sub, name, help_text, func, bins=False) -> None:
     """A subcommand that reads a result file (--in) or enumerates a box
     (--max-norm, --jobs); see _load_report."""
     p = sub.add_parser(name, help=help_text)
@@ -144,8 +116,8 @@ def _add_report_command(sub, name, help_text, func, defaults, bins=False) -> Non
     src.add_argument("--in", dest="in_path", metavar="PATH")
     src.add_argument("--max-norm", type=_positive_int)
     if bins:
-        p.add_argument("--bins", type=_positive_int, default=defaults["bins"])
-    p.add_argument("--jobs", type=_positive_int, default=defaults["jobs"])
+        p.add_argument("--bins", type=_positive_int, default=16)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=func)
 
@@ -248,13 +220,7 @@ def _cmd_family(args) -> int:
 def run(argv) -> int:
     """Dispatch a command line; returns the process exit code."""
     try:
-        defaults = _load_config(os.environ.get(_CONFIG_ENV))
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(defaults)
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     out = getattr(args, "out", None)

@@ -448,13 +448,17 @@ def family_to_jsonl(m_max: int, l_max: int) -> str:
 
 
 def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]:
-    """Parse a JSONL triad stream: (header, triads). Unknown records are skipped.
+    """Parse a result file: (header, triads).
 
-    The header is the first non-blank line if it has a schema, which must be
-    JSONL_SCHEMA. A cache file is rejected: its unexpanded source triads
-    would read as a wrong result. A triad record's derived fields, when
-    present, must hold: norms2 the members' squared norms, and source_n a
-    member up to sign.
+    Blank lines aside, a result file is one header line followed by triad
+    records and nothing else. The header, an object with a schema and no
+    triad, is the first non-blank line, and its schema must be JSONL_SCHEMA.
+    Every later line must be a triad record, so a second header, a stray
+    object or a cache appended to a result raises ValueError naming the
+    line. A cache file is rejected: its unexpanded source triads would read
+    as a wrong result. A triad record's derived fields, when present, must
+    hold: norms2 the members' squared norms, and source_n a member up to
+    sign.
     """
     header: dict | None = None
     triads: list[ResonantTriad] = []
@@ -466,30 +470,34 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {i}: not valid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise ValueError(f"line {i}: not a JSON object")
         if header is None:
-            header = rec if "schema" in rec and "triad" not in rec else {}
-            if header.get("kind") == "cache":
+            if not isinstance(rec, dict) or "schema" not in rec or "triad" in rec:
+                raise ValueError(f"line {i}: no result header")
+            if rec.get("kind") == "cache":
                 raise ValueError(f'line {i}: a resume cache ("kind":"cache"), not a result file')
-            schema = header.get("schema", JSONL_SCHEMA)
+            schema = rec["schema"]
             if type(schema) is not int or schema != JSONL_SCHEMA:
                 raise ValueError(f"line {i}: unknown schema {schema!r}, expected {JSONL_SCHEMA}")
-        if "triad" in rec:
-            try:
-                members = _wavenumbers(rec["triad"])
-                triad = ResonantTriad.from_members(*members)
-                (source,) = _wavenumbers([rec.get("source_n", members[0])])
-                norms2 = [m.norm2() for m in members]
-                given = rec.get("norms2", norms2)
-                if given != norms2 or any(type(v) is not int for v in given):
-                    raise ValueError(f"norms2 {given} are not the squared norms {norms2}")
-                if source not in triad and -source not in triad:
-                    raise ValueError(f"source_n {list(source)} is not a member up to sign")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"line {i}: not a triad record: {exc}") from exc
-            triads.append(triad)
-    return header or {}, triads
+            header = rec
+            continue
+        if not isinstance(rec, dict) or "triad" not in rec:
+            raise ValueError(f"line {i}: not a triad record")
+        try:
+            members = _wavenumbers(rec["triad"])
+            triad = ResonantTriad.from_members(*members)
+            (source,) = _wavenumbers([rec.get("source_n", members[0])])
+            norms2 = [m.norm2() for m in members]
+            given = rec.get("norms2", norms2)
+            if given != norms2 or any(type(v) is not int for v in given):
+                raise ValueError(f"norms2 {given} are not the squared norms {norms2}")
+            if source not in triad and -source not in triad:
+                raise ValueError(f"source_n {list(source)} is not a member up to sign")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {i}: not a triad record: {exc}") from exc
+        triads.append(triad)
+    if header is None:
+        raise ValueError("no result header")
+    return header, triads
 
 
 def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> EnumerationReport:

@@ -188,6 +188,8 @@ def test_counterexample_run_still_writes_its_report(tmp_path, monkeypatch, capsy
 
 RESULT_HEADER = '{"schema":1,"max_norm":5,"quadrant":true}\n'
 CACHE_HEADER = '{"schema":2,"max_norm":5,"quadrant":true,"kind":"cache"}\n'
+RESULT_HEADER_20 = '{"schema":1,"max_norm":20,"quadrant":true}\n'
+GOLDEN_RECORD = '{"triad":[[-9,23],[1,11],[8,-34]],"source_n":[1,11],"norms2":[610,122,1220]}\n'
 MALFORMED_INPUTS = [
     (["clusters", "--in"], RESULT_HEADER + "5\n", "line 2"),
     (["stats", "--in"], RESULT_HEADER + "5\n", "line 2"),
@@ -231,6 +233,14 @@ MALFORMED_INPUTS = [
     (["stats", "--in"], '{"schema":1,"max_norm":20,"quadrant":true}\n'
      '{"triad":[[-9,23],[1,11],[8,-34]],"source_n":[5,5],"norms2":[1,2,3]}\n',
      "line 2: not a triad record: norms2 [1, 2, 3]"),
+    # a result file is one header line followed by triad records and nothing else
+    (["clusters", "--in"], RESULT_HEADER_20 + GOLDEN_RECORD + CACHE_HEADER
+     + '{"n":[1,0],"triads":[]}\n', "line 3: not a triad record"),
+    (["stats", "--in"], RESULT_HEADER_20 + '{"hello":1}\n' + GOLDEN_RECORD,
+     "line 2: not a triad record"),
+    (["clusters", "--in"], RESULT_HEADER_20 + GOLDEN_RECORD + RESULT_HEADER_20,
+     "line 3: not a triad record"),
+    (["stats", "--in"], "", "no result header"),
     # bytes that are not UTF-8: the message names the file
     (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
      "input.jsonl has a corrupt header line"),
@@ -249,6 +259,8 @@ MALFORMED_INPUTS = [
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
          "cache-float-component", "cache-foreign-triad", "clusters-triad-outside-box",
          "clusters-schema-99", "stats-wrong-derived-fields",
+         "clusters-result-then-cache", "stats-stray-object", "clusters-second-header",
+         "stats-empty",
          "cache-binary", "clusters-binary", "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
@@ -367,40 +379,29 @@ class TestStatsAnisotropy:
                 stats_anisotropy(report12, bins)
 
 
-class TestConfig:
-    def test_env_config_supplies_defaults(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("bins = 4\nseed = 3  # comment\n")
-        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
-        assert run(["stats", "--max-norm", "5", ]) == 0
-        rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 1 + 4
+def test_settings_come_from_the_command_line_only(tmp_path, monkeypatch, capsys):
+    # flags are the only settings: no environment variable changes an output
+    cfg = tmp_path / "cfg"
+    cfg.write_text("bins = 4\nseed = 3\n")
+    commands = [["check", "1", "11", "-8", "34"], ["stats", "--max-norm", "5"],
+                ["verify-identity", "--samples", "10"]]
 
-    def test_flags_override_config(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("bins=4\n")
-        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
-        assert run(["stats", "--max-norm", "5", "--bins", "8"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 8
+    def outputs():
+        return [(run(argv), capsys.readouterr().out) for argv in commands]
 
-    def test_unknown_key_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("radius = 4\n")
-        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
-        assert run(["stats", "--max-norm", "5"]) == 2
-
-    def test_non_integer_value_names_its_line(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("bins = 4\njobs = abc\n")
-        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", str(cfg))
-        assert run(["stats", "--max-norm", "5"]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: {cfg}:2: jobs must be an integer, got 'abc'\n"
-        )
-
-    def test_missing_config_file_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", "/nonexistent/cfg")
-        assert run(["check", "1", "11", "-8", "34"]) == 2
+    monkeypatch.delenv("ROSSBY_RESONANCE_CONFIG", raising=False)
+    expected = outputs()
+    assert [code for code, _ in expected] == [0, 0, 0]
+    assert len(expected[1][1].splitlines()) == 1 + 16
+    assert expected[2][1].endswith("(seed 0)\n")
+    for value in ("/nonexistent/cfg", str(cfg)):
+        monkeypatch.setenv("ROSSBY_RESONANCE_CONFIG", value)
+        assert outputs() == expected
+    parse = cli._build_parser().parse_args
+    for command in ("enumerate", "clusters", "stats"):
+        assert parse([command, "--max-norm", "5"]).jobs == 1
+    assert parse(["stats", "--max-norm", "5"]).bins == 16
+    assert parse(["verify-identity"]).seed == 0
 
 
 EXIT_CODE_MATRIX = [

@@ -21,6 +21,7 @@ from rossby_resonance.partner_search import (
     _cache_header,
     _column_hits,
     _dump_line,
+    _header,
     _outer_columns,
     _outer_count,
     _partner_columns,
@@ -390,7 +391,8 @@ class TestJsonl:
         triad = [[-9, 23], [1, 11], [8, -34]]
 
         def read(**fields):
-            return read_triads_jsonl(["", _dump_line({"triad": triad, **fields})])[1]
+            lines = [_dump_line(_header(40)), _dump_line({"triad": triad, **fields})]
+            return read_triads_jsonl(lines)[1]
 
         expected = [ResonantTriad.from_members(*triad)]
         assert read() == expected
@@ -404,13 +406,16 @@ class TestJsonl:
     def test_family_records_pass_the_derived_field_checks(self):
         # a family record's source_n is its n, a member up to sign
         lines = [_dump_line(_triad_record(t, n)) for n, t in _family_triads(5, 5)]
-        assert read_triads_jsonl(lines)[1] == generate_family(5, 5)
+        assert read_triads_jsonl([_dump_line(_header(1)), *lines])[1] == generate_family(5, 5)
 
     def test_read_report_takes_the_box_from_the_header(self, report12):
         rebuilt = read_report(report_to_jsonl(report12).splitlines())
         assert rebuilt == report12._replace(stats={})
+        records = report_to_jsonl(report12).splitlines()[1:]
         with pytest.raises(ValueError, match="max_norm must be an integer >= 1, got None"):
-            read_report(report_to_jsonl(report12).splitlines()[1:])
+            read_report([_dump_line({"schema": 1}), *records])
+        with pytest.raises(ValueError, match="line 1: no result header"):
+            read_report(records)
 
     def test_report_from_triads_rejects_a_max_norm_that_is_not_a_box(self):
         for max_norm in (None, "40", 0, -3, 2.5, True):
