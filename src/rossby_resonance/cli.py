@@ -10,34 +10,24 @@ inputs and unwritable paths).
 
 Flags are the only settings: a command's output depends on its arguments
 and the files they name, and on nothing in the environment.
+
+Each _cmd_* function imports what it runs, and json is imported only where
+--out writes a verification report, so a command loads only its own
+modules: start-up is mostly compiling them when no bytecode is cached.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .cluster_graph import build_components, clusters_to_json
-from .exact_core import residual
-from .partner_search import (
-    EnumerationReport,
-    enumerate_lambda,
-    family_to_jsonl,
-    find_partners,
-    histogram_to_csv,
-    read_report,
-    report_to_jsonl,
-    stats_anisotropy,
-)
-from .verification import (
-    VerificationReport,
-    check_proof_identity,
-    verify_axis_theorem,
-    verify_diophantine_lemma,
-)
+if TYPE_CHECKING:
+    from .partner_search import EnumerationReport
+    from .verification import VerificationReport
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -131,6 +121,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .rational import residual
+
     res = residual((args.n1, args.n2), (args.x, args.y))
     verdict = "resonant" if res == 0 else "not resonant"
     print(f"{verdict}, residual {res}")
@@ -138,12 +130,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_partners(args) -> int:
+    from .partner_search import find_partners
+
     partners = find_partners((args.n1, args.n2))
     _write_text(args.out, "".join(f"{k.n1} {k.n2}\n" for k in partners))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .partner_search import enumerate_lambda, report_to_jsonl
+
     report = enumerate_lambda(args.max_norm, jobs=args.jobs, cache_path=args.cache)
     _write_text(args.out, report_to_jsonl(report))
     print(_stats_summary(report), file=sys.stderr)
@@ -151,6 +147,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_clusters(args) -> int:
+    from .cluster_graph import build_components, clusters_to_json
+
     report = _load_report(args)
     components = build_components(report.triads)
     _write_text(args.out, clusters_to_json(components, report.max_norm))
@@ -158,6 +156,8 @@ def _cmd_clusters(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .partner_search import histogram_to_csv, stats_anisotropy
+
     report = _load_report(args)
     hist = stats_anisotropy(report, args.bins)
     _write_text(args.out, histogram_to_csv(hist))
@@ -169,6 +169,8 @@ def _cmd_stats(args) -> int:
 
 
 def _load_report(args) -> EnumerationReport:
+    from .partner_search import enumerate_lambda, read_report
+
     if args.in_path is None:
         return enumerate_lambda(args.max_norm, jobs=args.jobs)
     try:
@@ -194,25 +196,35 @@ def _emit_verification(args, report: VerificationReport) -> int:
         summary += f" (seed {report.seed})"
     print(summary)
     if args.out:
+        import json
+
         _write_text(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 1 if report.counterexamples else 0
 
 
 def _cmd_verify_axis(args) -> int:
+    from .verification import verify_axis_theorem
+
     return _emit_verification(args, verify_axis_theorem(args.n1_max))
 
 
 def _cmd_verify_lemma(args) -> int:
+    from .verification import verify_diophantine_lemma
+
     return _emit_verification(args, verify_diophantine_lemma(args.b_max))
 
 
 def _cmd_verify_identity(args) -> int:
+    from .verification import check_proof_identity
+
     return _emit_verification(
         args, check_proof_identity(args.samples, args.bound, seed=args.seed)
     )
 
 
 def _cmd_family(args) -> int:
+    from .partner_search import family_to_jsonl
+
     _write_text(args.out, family_to_jsonl(args.m_max, args.l_max))
     return 0
 

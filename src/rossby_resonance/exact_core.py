@@ -1,4 +1,4 @@
-"""Exact integer/rational kernel for Rossby-wave triad resonance.
+"""Exact integer kernel for Rossby-wave triad resonance.
 
 Every resonance verdict in this package reduces to integer identities over
 Python's arbitrary-precision integers. A wavenumber n = (n1, n2) carries the
@@ -20,12 +20,14 @@ factorisation of |n|^2 lists (gaussian_norm_solutions), with no columns;
 _norm_hits keeps the solutions that are partners, and the axis verifier
 decides every (n1, 0) with it.
 
-No floating point appears anywhere on a verdict path.
+No floating point appears anywhere on a verdict path, and no rational
+either: the kernel is integer-only and imports no fractions. The exact
+values of sigma and of the residual, which only the check command prints,
+are in the rational module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
@@ -80,28 +82,6 @@ def sign_class(w) -> Wavenumber:
     if w.n1 == 0:
         raise ValueError("sign-classes require a nonzero zonal component")
     return w if w.n1 > 0 else -w
-
-
-class ReducedFraction(Fraction):
-    """Exact rational in lowest terms with denominator >= 1; zero is 0/1.
-
-    Thin veneer over fractions.Fraction (which already guarantees the
-    reduced-form invariants) adding the num/den field names and the
-    "num/den" serialization used in output files.
-    """
-
-    __slots__ = ()
-
-    @property
-    def num(self) -> int:
-        return self.numerator
-
-    @property
-    def den(self) -> int:
-        return self.denominator
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
 
 
 class QuarticPoly(NamedTuple):
@@ -187,15 +167,6 @@ def _residual_numden(n1: int, n2: int, x: int, y: int) -> tuple[int, int]:
     return n1 * d * f - x * b * f - u * b * d, b * d * f
 
 
-def sigma(n) -> ReducedFraction:
-    """Dispersion surrogate n1 / (n1^2 + n2^2) in lowest terms."""
-    n1, n2 = n
-    b = n1 * n1 + n2 * n2
-    if b == 0:
-        raise ValueError("sigma is undefined for the zero wavenumber")
-    return ReducedFraction(n1, b)
-
-
 def is_resonant(n, k) -> bool:
     """True iff sigma(n) - sigma(k) - sigma(n-k) vanishes exactly.
 
@@ -207,15 +178,6 @@ def is_resonant(n, k) -> bool:
     _check_admissible(n1, x)
     num, _ = _residual_numden(n1, n2, x, y)
     return num == 0
-
-
-def residual(n, k) -> ReducedFraction:
-    """sigma(n) - sigma(k) - sigma(n-k) as an exact reduced fraction."""
-    n1, n2 = n
-    x, y = k
-    _check_admissible(n1, x)
-    num, den = _residual_numden(n1, n2, x, y)
-    return ReducedFraction(num, den)
 
 
 def canonical_triad(n, k) -> ResonantTriad:

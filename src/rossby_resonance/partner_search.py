@@ -47,7 +47,6 @@ from .exact_core import (
     quartic_coeffs,
     sign_class,
 )
-from .verification import _family_triads
 
 JSONL_SCHEMA = 1
 CACHE_SCHEMA = 2
@@ -439,6 +438,8 @@ def family_to_jsonl(m_max: int, l_max: int) -> str:
     header's max_norm is the smallest box holding every source_n, 1 when
     there is no member (m_max = l_max = 1).
     """
+    from .verification import _family_triads  # here so that a search or a file read does not load verification
+
     pairs = list(_family_triads(m_max, l_max))
     max_norm = max((isqrt(n.norm2() - 1) + 1 for n, _ in pairs), default=1)
     header = {"schema": JSONL_SCHEMA, "max_norm": max_norm, "m_max": m_max, "l_max": l_max}

@@ -24,9 +24,9 @@ from rossby_resonance.exact_core import (
     _residual_numden,
     is_resonant,
     quartic_coeffs,
-    residual,
 )
 from rossby_resonance.partner_search import find_partners, naive_partner_oracle
+from rossby_resonance.rational import residual
 from rossby_resonance.verification import (
     generate_family,
     verify_axis_theorem,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rossby_resonance
-from rossby_resonance import cli
+from rossby_resonance import cli, partner_search, verification
 from rossby_resonance.cli import run
 from rossby_resonance.partner_search import enumerate_lambda, stats_anisotropy
 from rossby_resonance.verification import VerificationReport
@@ -140,8 +140,8 @@ def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsy
     def no_work(*args, **kwargs):
         pytest.fail("the computation ran before --out was checked")
 
-    monkeypatch.setattr(cli, "enumerate_lambda", no_work)
-    monkeypatch.setattr(cli, "verify_axis_theorem", no_work)
+    monkeypatch.setattr(partner_search, "enumerate_lambda", no_work)
+    monkeypatch.setattr(verification, "verify_axis_theorem", no_work)
     out = tmp_path / "no-such-dir" / "x"
     assert run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -180,7 +180,7 @@ def test_counterexample_run_still_writes_its_report(tmp_path, monkeypatch, capsy
         counterexamples=[(1, 2, 3)],
         wall_time_ms=0.1,
     )
-    monkeypatch.setattr(cli, "verify_axis_theorem", lambda n1_max: fake)
+    monkeypatch.setattr(verification, "verify_axis_theorem", lambda n1_max: fake)
     out = tmp_path / "axis.json"
     assert run(["verify-axis", "--max", "5", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["counterexamples"] == [[1, 2, 3]]
@@ -298,7 +298,7 @@ class TestVerifySubcommands:
             counterexamples=[(1, 2, 3)],
             wall_time_ms=0.1,
         )
-        monkeypatch.setattr(cli, "verify_axis_theorem", lambda n1_max: fake)
+        monkeypatch.setattr(verification, "verify_axis_theorem", lambda n1_max: fake)
         assert run(["verify-axis", "--max", "5"]) == 1
         assert capsys.readouterr().out == "1 counterexamples / 10 cases\n"
 

@@ -6,7 +6,6 @@ import pytest
 
 from rossby_resonance.exact_core import (
     QuarticPoly,
-    ReducedFraction,
     ResonantTriad,
     TrivialInteractionError,
     Wavenumber,
@@ -22,9 +21,8 @@ from rossby_resonance.exact_core import (
     integer_roots,
     is_resonant,
     quartic_coeffs,
-    residual,
-    sigma,
 )
+from rossby_resonance.rational import ReducedFraction, residual, sigma
 
 
 class TestWavenumber:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from rossby_resonance.exact_core import (
     QuarticPoly,
-    ReducedFraction,
     Wavenumber,
     _poly_eval,
     _residual_numden,
@@ -21,8 +20,8 @@ from rossby_resonance.exact_core import (
     integer_roots,
     is_resonant,
     quartic_coeffs,
-    residual,
 )
+from rossby_resonance.rational import ReducedFraction, residual
 
 components = st.integers(min_value=-50, max_value=50)
 
