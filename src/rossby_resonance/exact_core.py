@@ -269,30 +269,22 @@ def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> tuple[list[i
 
 def _p2_floors(a4: int, a3: int, a2: int, lo: int, hi: int) -> list[int]:
     """Floors in [lo, hi] of the real roots of p''/2 = 6 a4 t^2 + 3 a3 t + a2,
-    for a4 >= 0. With a4 > 0 the roots are (m -+ s) / c with m = -3 a3,
-    c = 12 a4 > 0 and s the square root of the discriminant, so their floors
-    are (m - ceil(s)) // c and (m + floor(s)) // c, both from isqrt. With
-    a4 = 0 the one root floor is -a2 // (3 a3), and none when a3 = 0 too.
-    """
-    floors = ()
-    if a4:
-        m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
-        if disc >= 0:
-            s = isqrt(disc)
-            floors = ((m - s - (s * s < disc)) // c, (m + s) // c)
-    elif a3:
-        floors = (-a2 // (3 * a3),)
-    return [f for f in floors if lo <= f <= hi]
+    for a4 > 0. With m = -3 a3, c = 12 a4 and s the square root of a
+    non-negative discriminant the roots are (m -+ s) / c, so their floors
+    are (m - ceil(s)) // c and (m + floor(s)) // c, both from isqrt."""
+    m, c, disc = -3 * a3, 12 * a4, 9 * a3 * a3 - 24 * a4 * a2
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    return [f for f in ((m - s - (s * s < disc)) // c, (m + s) // c) if lo <= f <= hi]
 
 
 def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]:
-    """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending.
+    """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending, for
+    the quartic p with coefficients a4..a0 and a4 != 0.
 
-    coeffs are ordered highest degree first; leading zeros are dropped, and
-    the zero polynomial and a degree above 4 are rejected. Every degree runs
-    on one unrolled path with Horner inlined: the coefficients are padded to
-    a quartic a4..a0 with the sign normalised to a4 >= 0, which keeps every
-    root, and the root floors of p'' (_p2_floors) are refined into markers
+    Horner is inlined, and the sign is normalised to a4 > 0, which keeps
+    every root. The root floors of p'' (_p2_floors) are refined into markers
     for p' and then into the roots of p (_refine_floors). Carrying each
     derivative's markers makes the search complete: a root either gives a
     strict sign change between consecutive checkpoints (found by bisection,
@@ -302,16 +294,9 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
     root next to a root endpoint via Rolle) and is a checkpoint through the
     inherited marker. A root is returned only where exact evaluation gives 0.
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    if not coeffs:
-        raise ValueError("the zero polynomial vanishes at every integer")
-    if len(coeffs) > 5:
-        raise ValueError("root isolation takes polynomials of degree at most 4")
     if lo > hi:
         return []
-    a4, a3, a2, a1, a0 = [0] * (5 - len(coeffs)) + coeffs
+    a4, a3, a2, a1, a0 = coeffs
     if a4 < 0:
         a4, a3, a2, a1, a0 = -a4, -a3, -a2, -a1, -a0
     b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
@@ -322,9 +307,10 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
 
 
 def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
-    """All integers y with |y| <= bound and p(y) = 0, sorted ascending."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    """All integers y with |y| <= bound and p(y) = 0, sorted ascending, for
+    a quartic p = (a4, a3, a2, a1, a0) with a4 != 0."""
+    if len(p) != 5 or not p[0] or bound < 0:
+        raise ValueError("integer_roots takes a quartic (a4, ..., a0) with a4 != 0 and a bound >= 0")
     return _integer_roots_between(p, -bound, bound)
 
 

@@ -32,7 +32,6 @@ package's only floating point, and no verdict depends on it.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from math import atan2, isqrt, pi
@@ -234,6 +233,8 @@ def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
 
 
 def _dump_line(obj: dict) -> str:
+    import json  # here and in the readers, so that a partner search does not load it
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -267,6 +268,8 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
     line that is not a record of a quadrant source, or that holds a triad
     with neither the source nor its negation as a member, raises ValueError.
     """
+    import json
+
     done: dict[Wavenumber, list[ResonantTriad]] = {}
     try:
         fh = open(path, "rb")
@@ -388,8 +391,6 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
         "quadrant_points": len(points),
         "cache_hits": len(points) - len(pending),
         "quadrant_lambda": sum(1 for m in report.lambda_members if m.n1 > 0 and m.n2 >= 0),
-        "triads": len(report.triads),
-        "lambda_members": len(report.lambda_members),
         "jobs": jobs,
         "workers": workers,
         "wall_time_ms": {
@@ -461,6 +462,8 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
     hold: norms2 the members' squared norms, and source_n a member up to
     sign.
     """
+    import json
+
     header: dict | None = None
     triads: list[ResonantTriad] = []
     for i, line in enumerate(stream, start=1):
@@ -536,12 +539,11 @@ def read_report(lines: Iterable[str]) -> EnumerationReport:
 class AngularHistogram(NamedTuple):
     """Angular occupancy of the resonant set within a box.
 
-    counts bins the members by atan2(n2, n1) over (-pi, pi]; axis_count is
-    the exact number of members with n2 = 0 (an integer test, never a bin
-    boundary artifact) and is zero for every box.
+    counts bins the members by atan2(n2, n1) over (-pi, pi], one entry per
+    bin; axis_count is the exact number of members with n2 = 0 (an integer
+    test, never a bin boundary artifact) and is zero for every box.
     """
 
-    bins: int
     counts: list[int]
     axis_count: int
 
@@ -564,12 +566,12 @@ def stats_anisotropy(report: EnumerationReport, bins: int) -> AngularHistogram:
         theta = atan2(m.n2, m.n1)
         idx = min(bins - 1, int((theta + pi) / width))
         counts[idx] += 1
-    return AngularHistogram(bins=bins, counts=counts, axis_count=axis_count)
+    return AngularHistogram(counts, axis_count)
 
 
 def histogram_to_csv(hist: AngularHistogram) -> str:
     lines = ["bin_center_radians,count"]
-    width = 2.0 * pi / hist.bins
+    width = 2.0 * pi / len(hist.counts)
     for i, count in enumerate(hist.counts):
         center = -pi + (i + 0.5) * width
         lines.append(f"{center!r},{count}")

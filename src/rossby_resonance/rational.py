@@ -15,20 +15,12 @@ from .exact_core import _check_admissible, _residual_numden
 class ReducedFraction(Fraction):
     """Exact rational in lowest terms with denominator >= 1; zero is 0/1.
 
-    Thin veneer over fractions.Fraction (which already guarantees the
-    reduced-form invariants) adding the num/den field names and the
-    "num/den" serialization used in output files.
+    fractions.Fraction already keeps the reduced form; this subclass only
+    prints it as "numerator/denominator" even when the denominator is 1, so
+    that check prints a zero residual as 0/1.
     """
 
     __slots__ = ()
-
-    @property
-    def num(self) -> int:
-        return self.numerator
-
-    @property
-    def den(self) -> int:
-        return self.denominator
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

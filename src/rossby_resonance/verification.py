@@ -40,10 +40,6 @@ class VerificationReport(NamedTuple):
     wall_time_ms: float
     seed: int | None = None
 
-    @property
-    def consistent(self) -> bool:
-        return not self.counterexamples
-
     def to_json_dict(self) -> dict:
         doc = self._asdict()
         if self.seed is None:

@@ -187,6 +187,14 @@ class TestNormHits:
             found += len(expected)
         assert found >= 472
 
+    def test_matches_find_partners_on_the_box35_quadrant(self):
+        # every source of a box-35 enumeration, the points that the norm
+        # solver will take over from the column search
+        points = _quadrant_points(35)
+        assert len(points) == 963
+        for n in points:
+            assert sorted(set(_norm_hits(n, _factor(n.norm2())))) == find_partners(n), n
+
     @pytest.mark.parametrize("n1", [1, 5, 12, 60, 65, 325, 1105])
     def test_zonal_axis_has_no_hits(self, n1):
         # b = n1^2, so the factors of n1 with doubled exponents suffice
@@ -343,12 +351,20 @@ class TestEnumerateLambda:
 # sha256 of report_to_jsonl(enumerate_lambda(35)); the body after the header
 # line is the benchmark's BOX_SWEEP_RECORDS_SHA256
 BOX35_JSONL_SHA256 = "539d418f40f25a50d99d8135469cfcdf0321ae59107c20818089437c376d51cc"
+# sha256 of report_to_jsonl(enumerate_lambda(60)), also the stdout of
+# enumerate --max-norm 60
+BOX60_JSONL_SHA256 = "2490724a7c8eeafa3a40daa6b0c7f78f239ca4ed3b48faaa3cf5299e1c4848f8"
 
 
 class TestJsonl:
     def test_box35_body_is_pinned(self, report35):
         body = report_to_jsonl(report35)
         assert hashlib.sha256(body.encode()).hexdigest() == BOX35_JSONL_SHA256
+
+    def test_box60_body_is_pinned(self, report60):
+        report, _ = report60
+        body = report_to_jsonl(report)
+        assert hashlib.sha256(body.encode()).hexdigest() == BOX60_JSONL_SHA256
 
     def test_header_and_sorted_records(self, report12):
         body = report_to_jsonl(report12)

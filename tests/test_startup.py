@@ -62,7 +62,7 @@ SEARCH = ["cli", "exact_core", "partner_search"]
 VERIFY = ["cli", "exact_core", "verification"]
 FOOTPRINTS = [
     (["check", "1", "11", "-8", "34"], ["cli", "exact_core", "rational"], ["fractions"]),
-    (["partners", "1", "11"], SEARCH, ["json"]),
+    (["partners", "1", "11"], SEARCH, []),
     (["enumerate", "--max-norm", "20", "--jobs", "2"], SEARCH, ["json"]),
     (["stats", "--in", "A"], SEARCH, ["json"]),
     (["clusters", "--in", "A"], ["cli", "cluster_graph", "exact_core", "partner_search"], ["json"]),
@@ -132,4 +132,4 @@ class TestLazySurface:
         assert triad == rossby_resonance.ResonantTriad.from_members((1, 11), (8, -34), (-9, 23))
         assert type(frac) is rossby_resonance.ReducedFraction
         assert isinstance(frac, fractions.Fraction)
-        assert (frac.num, frac.den, str(frac)) == (-11, 610, "-11/610")
+        assert (frac.numerator, frac.denominator, str(frac)) == (-11, 610, "-11/610")

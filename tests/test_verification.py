@@ -27,7 +27,7 @@ class TestAxisTheorem:
         assert report.counterexamples == []
         # one zonal wavenumber, (1, 0), is decided
         assert report.checked == 1
-        assert report.consistent
+        assert not report.counterexamples
 
     def test_moderate_range_clean(self):
         report = verify_axis_theorem(40)
