@@ -17,8 +17,9 @@ k, into a quartic in the second component y with integer coefficients; the
 quartic is the workhorse of the fast partner search. Read as Gaussian
 integers, the same relation is a norm equation whose solutions the
 factorisation of |n|^2 lists (gaussian_norm_solutions), with no columns;
-_norm_hits keeps the solutions that are partners, and the axis verifier
-decides every (n1, 0) with it.
+_norm_hits keeps the solutions that are partners. No command runs it yet:
+it is the oracle that tests compare the partner search and the axis
+verifier with.
 
 No floating point appears anywhere on a verdict path, and no rational
 either: the kernel is integer-only and imports no fractions. The exact

@@ -247,13 +247,25 @@ def _cache_header(max_norm: int) -> dict:
     return {**_header(max_norm), "schema": CACHE_SCHEMA, "kind": "cache"}
 
 
-def _wavenumbers(pairs) -> list[Wavenumber]:
-    """Wavenumbers read from JSON; ValueError unless every component is an
-    int, so that a true or a 1.0 is not taken for a 1."""
-    ws = [Wavenumber(*p) for p in pairs]
-    if any(type(c) is not int for w in ws for c in w):
-        raise ValueError(f"wavenumber components must be integers, got {pairs}")
-    return ws
+def _wavenumber(pair) -> Wavenumber:
+    """A wavenumber read from JSON; ValueError, quoting the input, unless it
+    is a pair of ints, so that a true, a 1.0 or a third component is not
+    taken for a wavenumber."""
+    if type(pair) is not list or len(pair) != 2 or any(type(c) is not int for c in pair):
+        import json
+
+        raise ValueError(f"a wavenumber must be two integers [n1, n2], got {json.dumps(pair)}")
+    return Wavenumber(*pair)
+
+
+def _triad_members(members) -> list[Wavenumber]:
+    """The members of a triad read from JSON, in their order; ValueError,
+    quoting the input, unless there are exactly three wavenumbers."""
+    if type(members) is not list or len(members) != 3:
+        import json
+
+        raise ValueError(f"a triad must list exactly three members, got {json.dumps(members)}")
+    return [_wavenumber(p) for p in members]
 
 
 def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTriad]], int]:
@@ -300,9 +312,11 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             except ValueError:
                 continue
             try:
-                (n,) = _wavenumbers([rec["n"]])
-                triads = [ResonantTriad.from_members(*_wavenumbers(t)) for t in rec["triads"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                if not isinstance(rec, dict) or type(rec.get("triads")) is not list:
+                    raise ValueError('expected {"n": [n1, n2], "triads": [...]}')
+                n = _wavenumber(rec.get("n"))
+                triads = [ResonantTriad.from_members(*_triad_members(t)) for t in rec["triads"]]
+            except ValueError as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
                 ) from exc
@@ -487,16 +501,16 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
         if not isinstance(rec, dict) or "triad" not in rec:
             raise ValueError(f"line {i}: not a triad record")
         try:
-            members = _wavenumbers(rec["triad"])
+            members = _triad_members(rec["triad"])
             triad = ResonantTriad.from_members(*members)
-            (source,) = _wavenumbers([rec.get("source_n", members[0])])
+            source = _wavenumber(rec["source_n"]) if "source_n" in rec else members[0]
             norms2 = [m.norm2() for m in members]
             given = rec.get("norms2", norms2)
             if given != norms2 or any(type(v) is not int for v in given):
                 raise ValueError(f"norms2 {given} are not the squared norms {norms2}")
             if source not in triad and -source not in triad:
                 raise ValueError(f"source_n {list(source)} is not a member up to sign")
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {i}: not a triad record: {exc}") from exc
         triads.append(triad)
     if header is None:

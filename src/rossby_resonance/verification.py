@@ -5,12 +5,14 @@ reports counts and wall time. An empty counterexample list is the expected
 outcome for every claim; the harness exists to make that checkable at any
 desk-scale bound rather than taken on faith.
 
-The axis check solves the Gaussian norm equation with exact_core's
-_norm_hits at each (n1, 0); checked counts the wavenumbers it decides.
-The brute-force disk scan, partner_search's naive_partner_oracle, is only
-the oracle that tests compare it with. The lemma check tests only the
-primitive 120 degree pairs, which decide every pair by a factorisation;
-the pair sweep _lemma_sweep is its oracle.
+Both the lemma and the axis check run on one search,
+_coprime_lemma_solutions, the coprime pairs with X^4 + X^2 Y^2 + Y^4 a
+square, found among the primitive 120 degree pairs. The lemma check scales
+each by d; the axis check maps each to the zonal wavenumbers (n1, 0)
+that would have partners, by the paper's reduction of the on-axis quartic
+to the lemma. The pair sweep _lemma_sweep and, for the axis, partner_search's
+naive_partner_oracle and exact_core's Gaussian norm solver _norm_hits are
+the oracles that tests compare them with.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from typing import Iterator, NamedTuple
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
-    _factor,
-    _norm_hits,
     _poly_eval,
     canonical_triad,
     is_resonant,
@@ -45,31 +45,6 @@ class VerificationReport(NamedTuple):
         if self.seed is None:
             del doc["seed"]
         return doc
-
-
-def verify_axis_theorem(n1_max: int) -> VerificationReport:
-    """No purely zonal wavenumber admits a non-trivial resonant decomposition.
-
-    Every (n1, 0) with n1 in [1, n1_max] is decided to have no partner, and
-    checked counts these n1; negative n1 follows from the zonal mirror
-    symmetry. _norm_hits lists every partner of (n1, 0) from the Gaussian
-    integers of norm 4 n1^6; since b = n1^2, the factors of n1 with doubled
-    exponents give them, and no cell of a search disk is tested.
-    """
-    if n1_max < 1:
-        raise ValueError("n1_max must be >= 1")
-    t0 = time.perf_counter()
-    counterexamples: list = []
-    for n1 in range(1, n1_max + 1):
-        hits = sorted(_norm_hits((n1, 0), {p: 2 * e for p, e in _factor(n1).items()}))
-        counterexamples.extend((n1, x, y) for x, y in hits)
-    return VerificationReport(
-        claim="axis-exclusion",
-        bounds={"n1_max": n1_max},
-        checked=n1_max,
-        counterexamples=counterexamples,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
 
 
 def _primitive_120_pairs(b_max: int) -> Iterator[tuple[int, int, int]]:
@@ -116,38 +91,98 @@ def _lemma_sweep(b_max: int) -> list[tuple[int, int, int]]:
     return counterexamples
 
 
+def _coprime_lemma_solutions(b_max: int) -> Iterator[tuple[int, int, int]]:
+    """(x, y, r) with gcd(x, y) = 1, 1 <= x < y <= b_max and
+    x^4 + x^2 y^2 + y^4 = r^2: the search that both the lemma and the axis
+    check run.
+
+    For coprime x, y the value is A B with A = x^2 + xy + y^2 and
+    B = x^2 - xy + y^2. Both are odd, since x and y are not both even. A
+    common prime factor p would divide A - B = 2xy and A + B =
+    2 (x^2 + y^2), so p divides x or y and then both. So A and B are
+    coprime, and A B is a square exactly when A and B both are. The pairs
+    with A = z^2 are _primitive_120_pairs, and each is kept when the exact
+    square test finds B = t^2, with r = z t. x = y = 1 gives 3, no square,
+    so x < y loses nothing.
+    """
+    for x, y, z in _primitive_120_pairs(b_max):
+        t = isqrt(x * x - x * y + y * y)
+        if t * t == x * x - x * y + y * y:
+            yield x, y, z * t
+
+
 def verify_diophantine_lemma(b_max: int) -> VerificationReport:
     """X^4 + X^2 Y^2 + Y^4 is never a perfect square for 1 <= X <= Y <= b_max.
 
     X = 0 or Y = 0 always give squares and are the excluded trivial
     solutions. Every pair is decided, so checked is b_max (b_max + 1)/2,
-    but only the primitive 120 degree pairs are tested:
-
-    - A pair d (x, y) with gcd(x, y) = 1 gives d^4 times the value of
-      (x, y), so it is a square exactly when that one is.
-    - For coprime x, y the value is A B with A = x^2 + xy + y^2 and
-      B = x^2 - xy + y^2. Both are odd, since x and y are not both even.
-      A common prime factor p would divide A - B = 2xy and A + B =
-      2 (x^2 + y^2), so p divides x or y and then both. So A and B are
-      coprime, and A B is a square exactly when A and B both are.
-    - The coprime pairs with A a square are _primitive_120_pairs; each
-      is decided by the exact square test on B.
+    but only the coprime pairs are searched: a pair d (x, y) with
+    gcd(x, y) = 1 gives d^4 times the value of (x, y), so it is a square
+    exactly when that one is, and each coprime solution of
+    _coprime_lemma_solutions is reported with all its multiples d.
     """
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     t0 = time.perf_counter()
-    counterexamples = []
-    for x, y, z in _primitive_120_pairs(b_max):
-        q = x * x - x * y + y * y
-        r = isqrt(q)
-        if r * r == q:
-            counterexamples.extend(
-                (d * x, d * y, d * d * z * r) for d in range(1, b_max // y + 1)
-            )
+    counterexamples = [
+        (d * x, d * y, d * d * r)
+        for x, y, r in _coprime_lemma_solutions(b_max)
+        for d in range(1, b_max // y + 1)
+    ]
     return VerificationReport(
         claim="quartic-form-never-square",
         bounds={"b_max": b_max},
         checked=b_max * (b_max + 1) // 2,
+        counterexamples=sorted(counterexamples),
+        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+    )
+
+
+def verify_axis_theorem(n1_max: int) -> VerificationReport:
+    """No purely zonal wavenumber admits a non-trivial resonant decomposition.
+
+    Every (n1, 0) with n1 in [1, n1_max] is decided, and checked counts
+    these n1; negative n1 follows from the zonal mirror symmetry. No column
+    and no norm equation is solved: the paper reduces the on-axis quartic
+    to the lemma.
+
+    - For n1 > 0 the partner quartic of (n1, 0) in the column x is
+      n1 ((y^2 - w)^2 - n1^2 w) with w = x (n1 - x) (check_proof_identity).
+      A root needs n1^2 w to be a square, so w = s^2 with s > 0 and
+      0 < x < n1, since x = 0 and x = n1 are trivial.
+    - Let g = gcd(x, n1 - x). The cofactors x/g and (n1 - x)/g are coprime
+      with a square product, so x = g p^2 and n1 - x = g q^2 with
+      gcd(p, q) = 1, and s = g p q. A root has y^2 = s (s +- n1), and the
+      minus branch is negative, because s = g p q < g (p^2 + q^2) = n1.
+    - So y^2 = s (s + n1) = g^2 p q (p^2 + p q + q^2). A prime of p q
+      divides p or q but then not p^2 + p q + q^2, so the two factors are
+      coprime squares: p = X^2, q = Y^2 and X^4 + X^2 Y^2 + Y^4 = r^2.
+    - Conversely such coprime X, Y >= 1 and any g >= 1 give the root
+      y = +-g X Y r in the column x = g X^4 of n1 = g (X^4 + Y^4), and by
+      the symmetry of p and q in the column x = g Y^4.
+
+    So (n1, 0) has a partner exactly when n1 = g (X^4 + Y^4) for a coprime
+    lemma solution, and its partners are then (g X^4, +-g X Y r) and
+    (g Y^4, +-g X Y r). Y^4 < n1 <= n1_max bounds the search at
+    Y <= isqrt(isqrt(n1_max)), the fourth root of n1_max rounded down.
+    That x^4 + x^2 y^2 + y^4 = z^2 has no solution with xy != 0 is a
+    classical result (see for example Mordell, Diophantine Equations,
+    1969); it implies the claim for every n1, and this sweep checks the
+    claim up to n1_max without assuming it.
+    """
+    if n1_max < 1:
+        raise ValueError("n1_max must be >= 1")
+    t0 = time.perf_counter()
+    counterexamples = [
+        (g * (x**4 + y**4), g * leg, sign * g * x * y * r)
+        for x, y, r in _coprime_lemma_solutions(isqrt(isqrt(n1_max)))
+        for g in range(1, n1_max // (x**4 + y**4) + 1)
+        for leg in (x**4, y**4) for sign in (-1, 1)
+    ]
+    return VerificationReport(
+        claim="axis-exclusion",
+        bounds={"n1_max": n1_max},
+        checked=n1_max,
         counterexamples=sorted(counterexamples),
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
@@ -213,9 +248,7 @@ def check_proof_identity(sample_count: int, bound: int, seed: int = 0) -> Verifi
         rhs = (y * y - w) ** 2 - n1 * n1 * w
         poly = quartic_coeffs((n1, 0), x)
         reduced_ok = (
-            poly.a3 == 0
-            and poly.a1 == 0
-            and poly == (n1, 0, -2 * w * n1, 0, n1 * (w * w - n1 * n1 * w))
+            poly == (n1, 0, -2 * w * n1, 0, n1 * (w * w - n1 * n1 * w))
             and _poly_eval(poly, y) == n1 * lhs
         )
         if lhs != rhs or not reduced_ok:

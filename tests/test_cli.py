@@ -241,6 +241,29 @@ MALFORMED_INPUTS = [
     (["clusters", "--in"], RESULT_HEADER_20 + GOLDEN_RECORD + RESULT_HEADER_20,
      "line 3: not a triad record"),
     (["stats", "--in"], "", "no result header"),
+    # triads of two or four members, a member of three components, a null
+    # source: the message quotes the input and names no function
+    (["clusters", "--in"], RESULT_HEADER_20 + '{"triad":[[-9,23],[8,-34]]}\n',
+     "line 2: not a triad record: a triad must list exactly three members, got [[-9, 23], [8, -34]]"),
+    (["enumerate", "--max-norm", "5", "--cache"],
+     CACHE_HEADER + '{"n":[1,0],"triads":[[[-9,23],[8,-34]]]}\n',
+     "line 2: not a finished-source record: a triad must list exactly three members"),
+    (["clusters", "--in"], RESULT_HEADER_20 + '{"triad":[[-9,23],[1,11],[8,-34],[1,11]]}\n',
+     "line 2: not a triad record: a triad must list exactly three members"),
+    (["enumerate", "--max-norm", "5", "--cache"],
+     CACHE_HEADER + '{"n":[1,0],"triads":[[[-9,23],[1,11],[8,-34],[1,11]]]}\n',
+     "line 2: not a finished-source record: a triad must list exactly three members"),
+    (["clusters", "--in"], RESULT_HEADER_20 + '{"triad":[[-9,23,0],[1,11],[8,-34]]}\n',
+     "line 2: not a triad record: a wavenumber must be two integers [n1, n2], got [-9, 23, 0]"),
+    (["enumerate", "--max-norm", "5", "--cache"],
+     CACHE_HEADER + '{"n":[1,0],"triads":[[[-9,23,0],[1,11],[8,-34]]]}\n',
+     "line 2: not a finished-source record: a wavenumber must be two integers [n1, n2], got [-9, 23, 0]"),
+    (["clusters", "--in"], RESULT_HEADER_20 + '{"triad":[[-9,23],[1,11],[8,-34]],"source_n":null}\n',
+     "line 2: not a triad record: a wavenumber must be two integers [n1, n2], got null"),
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":null,"triads":[]}\n',
+     "line 2: not a finished-source record: a wavenumber must be two integers [n1, n2], got null"),
+    (["enumerate", "--max-norm", "5", "--cache"], CACHE_HEADER + '{"n":[1,0],"triads":null}\n',
+     'line 2: not a finished-source record: expected {"n": [n1, n2], "triads": [...]}'),
     # bytes that are not UTF-8: the message names the file
     (["enumerate", "--max-norm", "5", "--cache"], b"\x89PNG\r\n\x1a\n",
      "input.jsonl has a corrupt header line"),
@@ -261,6 +284,9 @@ MALFORMED_INPUTS = [
          "clusters-schema-99", "stats-wrong-derived-fields",
          "clusters-result-then-cache", "stats-stray-object", "clusters-second-header",
          "stats-empty",
+         "clusters-two-members", "cache-two-members", "clusters-four-members",
+         "cache-four-members", "clusters-three-components", "cache-three-components",
+         "clusters-null-source", "cache-null-source", "cache-null-triads",
          "cache-binary", "clusters-binary", "stats-binary"],
 )
 def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
@@ -268,7 +294,10 @@ def test_malformed_input_is_a_usage_error(argv, text, where, tmp_path, capsys):
     data = text if isinstance(text, bytes) else text.encode()
     path.write_bytes(data)
     assert run([*argv, str(path)]) == 2
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err
+    # the message describes the input, not the code that read it
+    assert "()" not in err and "__" not in err
     assert path.read_bytes() == data
 
 

@@ -3,7 +3,14 @@ from math import gcd, isqrt
 
 import pytest
 
-from rossby_resonance.exact_core import Wavenumber, _factor, _norm_hits, is_resonant
+from rossby_resonance.exact_core import (
+    Wavenumber,
+    _factor,
+    _norm_hits,
+    _poly_eval,
+    is_resonant,
+    quartic_coeffs,
+)
 from rossby_resonance.partner_search import (
     _cell_hits,
     _column_hits,
@@ -59,30 +66,79 @@ class TestAxisTheorem:
         assert list(_cell_hits(n, _disk_columns(n))) == expected
         assert sorted(_norm_hits(n, _factor(n[0] ** 2 + n[1] ** 2))) == expected
 
-    def test_norm_path_is_given_the_factors_of_b(self, monkeypatch):
-        # b = n1^2 on the axis; the axis has no hits, so only the factors
-        # handed to _norm_hits show that it solves the right norm equation
+    def test_agrees_with_the_norm_solver_per_n1(self):
+        # the Gaussian norm solver decides each (n1, 0) without the reduction
+        solved = [
+            (n1, x, y)
+            for n1 in range(1, 2001)
+            for x, y in sorted(_norm_hits((n1, 0), {p: 2 * e for p, e in _factor(n1).items()}))
+        ]
+        report = verify_axis_theorem(2000)
+        assert report.counterexamples == solved == []
+        assert report.checked == 2000
+
+    def test_lemma_solution_is_mapped_to_its_axis_partners(self, monkeypatch):
+        # no real coprime pair solves the lemma, so feed the fake primitive
+        # pair of the lemma test: x^2 - xy + y^2 = 49 and z = 10 give
+        # r = 70, so n1 = 3^4 + 8^4 = 4177 and y = 3 * 8 * 70
+        monkeypatch.setattr(verification, "_primitive_120_pairs", lambda b_max: [(3, 8, 10)])
+        assert verify_axis_theorem(4176).counterexamples == []
+        report = verify_axis_theorem(5000)
+        assert report.counterexamples == [
+            (4177, 81, -1680), (4177, 81, 1680), (4177, 4096, -1680), (4177, 4096, 1680)
+        ]
+        assert report.checked == 5000
+
+    def test_points_of_several_solutions_are_sorted(self, monkeypatch):
+        # two fake pairs with x^2 - xy + y^2 = 49: (3, 8) maps to n1 = 4177
+        # and 8354 (g = 2), (5, 8) to 4721 and 9442
+        fake_pairs = [(3, 8, 10), (5, 8, 11)]
+        monkeypatch.setattr(verification, "_primitive_120_pairs", lambda b_max: fake_pairs)
+        report = verify_axis_theorem(10000)
+        n1s = [n1 for n1, _, _ in report.counterexamples]
+        assert n1s == [4177] * 4 + [4721] * 4 + [8354] * 4 + [9442] * 4
+        assert report.counterexamples == sorted(report.counterexamples)
+
+    def test_search_stops_at_the_fourth_root(self, monkeypatch):
+        # Y^4 < n1 <= n1_max: the pairs are searched up to floor(n1_max^(1/4))
         seen = []
 
-        def recording(n, factors_of_b):
-            b = 1
-            for p, e in factors_of_b.items():
-                b *= p**e
-            seen.append((n, b))
-            return _norm_hits(n, factors_of_b)
+        def recording(b_max):
+            seen.append(b_max)
+            return []
 
-        monkeypatch.setattr(verification, "_norm_hits", recording)
-        assert verify_axis_theorem(30).counterexamples == []
-        assert seen == [((n1, 0), n1 * n1) for n1 in range(1, 31)]
+        monkeypatch.setattr(verification, "_primitive_120_pairs", recording)
+        for n1_max in (1, 15, 16, 4095, 4096, 10**12 - 1, 10**12):
+            assert verify_axis_theorem(n1_max).counterexamples == []
+        assert seen == [1, 1, 2, 7, 8, 999, 1000]
 
-    def test_corrupted_predicate_is_caught(self, monkeypatch):
-        def with_a_false_hit(n, factors_of_b):
-            yield from _norm_hits(n, factors_of_b)
-            if tuple(n) == (5, 0):
-                yield Wavenumber(2, 3)
+    @pytest.mark.parametrize("x, y", [(1, 2), (2, 3), (3, 8), (5, 7), (4, 4), (1, 11)])
+    @pytest.mark.parametrize("g", [1, 2, 6])
+    def test_partner_quartic_factors_at_the_mapped_point(self, x, y, g):
+        # at n1 = g (x^4 + y^4), column g x^4 (or g y^4) and height g x y r,
+        # the quartic is zero exactly when r^2 = x^4 + x^2 y^2 + y^4
+        n1 = g * (x**4 + y**4)
+        for r in range(-3, 40):
+            expected = (
+                n1 * g**4 * x**4 * y**4
+                * (r * r - x**4 - x * x * y * y - y**4)
+                * (r * r - x * x * y * y + x**4 + y**4)
+            )
+            for leg in (x**4, y**4):
+                assert _poly_eval(quartic_coeffs((n1, 0), g * leg), g * x * y * r) == expected
 
-        monkeypatch.setattr(verification, "_norm_hits", with_a_false_hit)
-        assert verify_axis_theorem(6).counterexamples == [(5, 2, 3)]
+    def test_square_columns_are_g_times_squares(self):
+        # the decomposition step: 0 < x < n1 with x (n1 - x) a square are
+        # exactly x = g p^2 with n1 = g (p^2 + q^2), gcd(p, q) = 1
+        for n1 in range(1, 400):
+            square = {x for x in range(1, n1) if isqrt(x * (n1 - x)) ** 2 == x * (n1 - x)}
+            decomposed = {
+                n1 // (p * p + q * q) * p * p
+                for p in range(1, isqrt(n1) + 1)
+                for q in range(1, isqrt(n1) + 1)
+                if gcd(p, q) == 1 and n1 % (p * p + q * q) == 0
+            }
+            assert square == decomposed, n1
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
