@@ -39,6 +39,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bins(text: str) -> int:
+    """--bins, checked here so that a bad value exits before the work;
+    stats_anisotropy keeps the same check for library callers."""
+    value = _positive_int(text)
+    if value < 4 or value % 2 != 0:
+        raise argparse.ArgumentTypeError(f"bins must be an even number >= 4, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rossby-resonance",
@@ -106,7 +115,7 @@ def _add_report_command(sub, name, help_text, func, bins=False) -> None:
     src.add_argument("--in", dest="in_path", metavar="PATH")
     src.add_argument("--max-norm", type=_positive_int)
     if bins:
-        p.add_argument("--bins", type=_positive_int, default=16)
+        p.add_argument("--bins", type=_bins, default=16)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=func)

@@ -1,9 +1,11 @@
 """Complete bounded search for resonant partners and box enumeration.
 
 The partner search scans only the columns x that a sign argument on
-sigma(k) = k1 / |k|^2 allows, and caps the x < 0 branch at
-n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma; find_partners
-proves the three branches and the cap.
+sigma(k) = k1 / |k|^2 allows, caps the x < 0 branch at
+n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma, searches the
+0 < x < n1 branch only for the leg with x <= n1/2, and skips odd x when n1
+is even and n2 odd, where a parity argument rules the column out;
+find_partners proves the three branches, the cap and the parity rule.
 
 A column (x, lo, hi) is solved in one place, _column_hits, by the exact
 integer roots of its partner quartic, each confirmed with is_resonant.
@@ -107,11 +109,19 @@ def _disk_columns(n) -> Iterator[tuple[int, int, int]]:
             yield x, -ymax, ymax
 
 
-def _outer_us(n1: int, b: int) -> range:
+def _column_step(n1: int, n2: int) -> int:
+    """2 when n1 is even and n2 odd, where only even columns x can hold a
+    partner (the parity rule of find_partners), else 1."""
+    return 2 if n1 % 2 == 0 and n2 % 2 == 1 else 1
+
+
+def _outer_us(n1: int, n2: int) -> range:
     """The u = n1 - x of the x < 0 branch of the partner search of a point
-    with first component n1 > 0 and b = |n|^2; find_partners proves it."""
+    n with n1 > 0; find_partners proves it."""
+    b = n1 * n1 + n2 * n2
     cap = isqrt(isqrt(b**3 // (n1 * n1)))
-    return range(n1 + 1, min((b - 1) // n1, n1 + cap) + 1)
+    step = _column_step(n1, n2)
+    return range(n1 + step, min((b - 1) // n1, n1 + cap) + 1, step)
 
 
 def _outer_columns(n) -> Iterator[tuple[int, int, int]]:
@@ -119,7 +129,7 @@ def _outer_columns(n) -> Iterator[tuple[int, int, int]]:
     for n1 > 0: every partner of n with x < 0 lies in one of them."""
     n1, n2 = n
     b = n1 * n1 + n2 * n2
-    for u in _outer_us(n1, b):
+    for u in _outer_us(n1, n2):
         w = isqrt((u * (b - u * n1) - 1) // n1)
         yield n1 - u, n2 - w, n2 + w
 
@@ -127,8 +137,7 @@ def _outer_columns(n) -> Iterator[tuple[int, int, int]]:
 def _outer_count(n) -> int:
     """The number of columns of _outer_columns(n), each one partner quartic:
     the exact cost of source n in enumerate_lambda."""
-    n1, n2 = n
-    return len(_outer_us(n1, n1 * n1 + n2 * n2))
+    return len(_outer_us(*n))
 
 
 def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
@@ -138,10 +147,11 @@ def _partner_columns(n) -> Iterator[tuple[int, int, int]]:
     column with lo <= y <= hi; see find_partners for the proof.
     """
     n1, n2 = n
-    b = n1 * n1 + n2 * n2
+    b4 = 4 * (n1 * n1 + n2 * n2)
     yield from _outer_columns(n)
-    for x in range(1, n1):
-        w = isqrt(b - x * x)
+    step = _column_step(n1, n2)
+    for x in range(step, n1 // 2 + 1, step):
+        w = isqrt(b4 - x * x)
         yield x, -w, w
 
 
@@ -183,8 +193,16 @@ def find_partners(n) -> list[Wavenumber]:
       the x < 0 branch and k is found as its complement. Never visited.
     - 0 < x < n1: x and u are positive. If k is the smaller leg,
       |k| <= |n - k|, then n1/b = x/|k|^2 + u/|n - k|^2 <= (x + u)/|k|^2
-      = n1/|k|^2, so |k|^2 <= b; x runs over 1..n1-1 with
-      |y| <= isqrt(b - x^2), and the larger leg is found as the complement.
+      = n1/|k|^2, so |k|^2 <= b (the smaller-leg lemma). Since x + u = n1,
+      one leg has x <= n1/2, and only that leg is searched: if it is the
+      smaller one, |k|^2 <= b; if not, |n - k|^2 <= b and
+      |k| <= |n| + |n - k| <= 2 sqrt(b). So x runs over 1..n1//2 with
+      |y| <= isqrt(4b - x^2), and the other leg is found as the complement.
+
+    Parity bars half the columns of both branches when n1 is even and n2
+    odd: then a4 = n1, a3, a2 and a1 of quartic_coeffs(n, x) are even and
+    a0 = n2^4 x (mod 2), so for odd x the quartic is odd at every integer y
+    and the column holds no partner. Both branches visit even x only.
 
     The columns are solved by _column_hits: per column the quartic's
     integer roots are isolated exactly in the y window, and every hit is
@@ -342,7 +360,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
 
     A source n solves only its x < 0 branch, _outer_columns(n). Write a
     triad's members with positive first components as s, m and l = s + m:
-    m finds -s and s finds -m in that branch, and by the middle-branch
+    m finds -s and s finds -m in that branch, and by the smaller-leg
     lemma of find_partners min(|s|, |m|) <= |l|, so a triad with a box
     member has s or m in the box. A member with a negative second component
     is the mirror of a quadrant point, which finds the mirrored triad; the

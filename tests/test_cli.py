@@ -387,8 +387,18 @@ class TestStats:
         assert sum(int(r.split(",")[1]) for r in rows[1:]) == 12
 
     @pytest.mark.parametrize("bins", ["7", "2", "3"])
-    def test_bad_bins(self, bins, capsys):
-        assert run(["stats", "--max-norm", "5", "--bins", bins]) == 2
+    def test_bad_bins(self, bins, capsys, tmp_path, monkeypatch):
+        # rejected by the parser: no enumeration, no file read, no --out file
+        def fail(*args, **kwargs):
+            raise AssertionError("stats did work before checking --bins")
+
+        monkeypatch.setattr(partner_search, "enumerate_lambda", fail)
+        monkeypatch.setattr(partner_search, "read_report", fail)
+        out = tmp_path / "hist.csv"
+        assert run(["stats", "--max-norm", "400", "--bins", bins, "--out", str(out)]) == 2
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["stats", "--in", str(tmp_path / "r.jsonl"), "--bins", bins]) == 2
 
 
 class TestStatsAnisotropy:

@@ -138,9 +138,28 @@ class TestFindPartners:
 
     def test_column_counts(self):
         # one quartic per column: a work count that does not depend on the hardware
-        assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 6298
+        assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 4500
         assert sum(1 for _ in _partner_columns((1, 60))) == 464
-        assert sum(1 for n in _quadrant_points(20) for _ in _outer_columns(n)) == 3836
+        assert sum(1 for n in _quadrant_points(20) for _ in _outer_columns(n)) == 3374
+
+    def test_parity_rules_out_odd_columns(self):
+        # n1 even, n2 odd, x odd: a4..a1 even and a0 odd, so no integer root
+        for n1 in range(-40, 41, 2):
+            for n2 in range(-39, 40, 2):
+                for x in range(-39, 40, 2):
+                    if n1 != 0:
+                        *high, a0 = quartic_coeffs((n1, n2), x)
+                        assert all(a % 2 == 0 for a in high) and a0 % 2 == 1, (n1, n2, x)
+
+    def test_parity_skips_odd_columns_in_both_branches(self):
+        assert [x for x, _, _ in _partner_columns((6, 5))] == [-2, -4, 2]
+        assert [x for x, _, _ in _partner_columns((6, 6))] == [-1, -2, -3, -4, -5, 1, 2, 3]
+
+    def test_middle_branch_searches_the_leg_with_x_at_most_half_n1(self):
+        # (8, 14) has the middle partners (3, -11) and (5, 25); only x <= 4
+        # is searched, and (5, 25) comes back as the complement
+        assert [x for x, _, _ in _partner_columns((8, 14)) if x > 0] == [1, 2, 3, 4]
+        assert find_partners((8, 14)) == [Wavenumber(3, -11), Wavenumber(5, 25)]
 
     def test_gradient_cap_keeps_a_far_partner(self):
         # |x| = 15 against a cap of isqrt(isqrt(65**3)) = 22; a cap below 15 loses it
@@ -187,13 +206,17 @@ class TestNormHits:
             found += len(expected)
         assert found >= 472
 
-    def test_matches_find_partners_on_the_box35_quadrant(self):
-        # every source of a box-35 enumeration, the points that the norm
-        # solver will take over from the column search
-        points = _quadrant_points(35)
-        assert len(points) == 963
+    def test_matches_find_partners_on_signed_box35(self):
+        # every signed n with 0 < |n| <= 35 and n1 != 0: the sources of a
+        # box-35 enumeration, which the norm solver will take over from the
+        # column search, and the three other sign quadrants, where the
+        # parity rule and the halved middle branch also act
+        points = [(n1, n2) for n1 in range(-35, 36) if n1 != 0
+                  for n2 in range(-isqrt(1225 - n1 * n1), isqrt(1225 - n1 * n1) + 1)]
+        assert len(points) == 3782
+        assert sum(n1 > 0 and n2 >= 0 for n1, n2 in points) == len(_quadrant_points(35)) == 963
         for n in points:
-            assert sorted(set(_norm_hits(n, _factor(n.norm2())))) == find_partners(n), n
+            assert _norm_partners(n) == find_partners(n), n
 
     @pytest.mark.parametrize("n1", [1, 5, 12, 60, 65, 325, 1105])
     def test_zonal_axis_has_no_hits(self, n1):
@@ -330,7 +353,7 @@ class TestEnumerateLambda:
         assert enumerate_lambda(20).stats["workers"] == 0
 
     def test_pool_run_matches_one_process_and_resumes(self, tmp_path, report35):
-        # box 35 solves 22 405 quartics, enough to start the pool
+        # box 35 solves 19 808 quartics, enough to start the pool
         serial = report_to_jsonl(report35)
         cache = tmp_path / "cache.jsonl"
         pooled = enumerate_lambda(35, jobs=2, cache_path=cache)
@@ -345,7 +368,7 @@ class TestEnumerateLambda:
     def test_outer_count_is_the_column_count(self):
         points = _quadrant_points(35)
         assert all(_outer_count(n) == len(list(_outer_columns(n))) for n in points)
-        assert sum(map(_outer_count, points)) == 22405
+        assert sum(map(_outer_count, points)) == 19808
 
 
 # sha256 of report_to_jsonl(enumerate_lambda(35)); the body after the header
