@@ -149,6 +149,12 @@ def _cmd_partners(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .partner_search import enumerate_lambda, report_to_jsonl
 
+    if args.out is not None and args.cache is not None and (
+        os.path.realpath(args.out) == os.path.realpath(args.cache)
+        or os.path.exists(args.cache) and os.path.samefile(args.out, args.cache)
+    ):
+        # the result would overwrite the cache that the run appends to
+        raise ValueError(f"--out and --cache name the same file: {args.out}")
     report = enumerate_lambda(args.max_norm, jobs=args.jobs, cache_path=args.cache)
     _write_text(args.out, report_to_jsonl(report))
     print(_stats_summary(report), file=sys.stderr)
@@ -246,6 +252,7 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     out = getattr(args, "out", None)
     created = False
+    status = None
     try:
         if out is not None:
             # an unwritable --out fails before the work; an existing file keeps its content
@@ -254,14 +261,16 @@ def run(argv) -> int:
                 created = True
             except FileExistsError:
                 open(out, "a", encoding="utf-8").close()
-        return args.func(args)
+        status = args.func(args)
     except (ValueError, OSError) as exc:
-        if created:
-            # a failed command leaves no new file behind
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    finally:
+        if created and status in (None, 2):
+            # a failed or interrupted command leaves no new file behind
             with contextlib.suppress(OSError):
                 os.remove(out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return status
 
 
 def main() -> None:

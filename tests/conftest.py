@@ -40,3 +40,22 @@ def report17():
 @pytest.fixture(scope="session")
 def report12():
     return enumerate_lambda(12)
+
+
+@pytest.fixture
+def wrong_axis_quartic(monkeypatch):
+    """Make verification's quartic_coeffs wrong in a0 by one when 7 | x;
+    yields the (n1, x) of every column the verifier built, in order."""
+    from rossby_resonance import verification
+
+    real = verification.quartic_coeffs
+    columns = []
+
+    def wrong(n, x):
+        assert n[1] == 0
+        columns.append((n[0], x))
+        poly = real(n, x)
+        return poly._replace(a0=poly.a0 + 1) if x % 7 == 0 else poly
+
+    monkeypatch.setattr(verification, "quartic_coeffs", wrong)
+    return columns

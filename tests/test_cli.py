@@ -13,6 +13,10 @@ from rossby_resonance.partner_search import enumerate_lambda, stats_anisotropy
 from rossby_resonance.verification import VerificationReport
 
 
+def _no_work(*args, **kwargs):
+    pytest.fail("the computation ran before the arguments were checked")
+
+
 class TestCheck:
     def test_resonant_pair(self, capsys):
         assert run(["check", "1", "11", "-8", "34"]) == 0
@@ -90,6 +94,40 @@ class TestEnumerate:
         assert run(["enumerate", "--max-norm", "12", "--cache", str(cache)]) == 0
         assert "cache hits 110)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_out_naming_the_cache_keeps_the_cache(self, spelling, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["enumerate", "--max-norm", "20", "--cache", "P"]) == 0
+        data = Path("P").read_bytes()
+        Path("L").symlink_to("P")
+        out = {"same": "P", "dot": "./P", "symlink": "L"}[spelling]
+        monkeypatch.setattr(partner_search, "enumerate_lambda", _no_work)
+        capsys.readouterr()
+        assert run(["enumerate", "--max-norm", "20", "--cache", "P", "--out", out]) == 2
+        assert "--out and --cache name the same file" in capsys.readouterr().err
+        assert Path("P").read_bytes() == data
+
+    @pytest.mark.parametrize("out", ["P", "./P"])
+    def test_out_naming_an_absent_cache_leaves_no_file(self, out, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(partner_search, "enumerate_lambda", _no_work)
+        assert run(["enumerate", "--max-norm", "20", "--cache", "P", "--out", out]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_leaves_no_new_out_file(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(partner_search, "enumerate_lambda", interrupted)
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        old.write_text("earlier result\n")
+        with pytest.raises(KeyboardInterrupt):
+            run(["enumerate", "--max-norm", "150", "--out", str(new)])
+        with pytest.raises(KeyboardInterrupt):
+            run(["enumerate", "--max-norm", "150", "--out", str(old)])
+        assert not new.exists()
+        assert old.read_text() == "earlier result\n"
+
 
 class TestClusters:
     def test_in_file_equals_in_memory(self, tmp_path, capsys):
@@ -137,11 +175,8 @@ class TestClusters:
     ["verify-axis", "--max", "120"],
 ], ids=["enumerate", "verify-axis"])
 def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
-    def no_work(*args, **kwargs):
-        pytest.fail("the computation ran before --out was checked")
-
-    monkeypatch.setattr(partner_search, "enumerate_lambda", no_work)
-    monkeypatch.setattr(verification, "verify_axis_theorem", no_work)
+    monkeypatch.setattr(partner_search, "enumerate_lambda", _no_work)
+    monkeypatch.setattr(verification, "verify_axis_theorem", _no_work)
     out = tmp_path / "no-such-dir" / "x"
     assert run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -331,6 +366,16 @@ class TestVerifySubcommands:
         assert run(["verify-axis", "--max", "5"]) == 1
         assert capsys.readouterr().out == "1 counterexamples / 10 cases\n"
 
+    def test_wrong_axis_quartic_exits_1_with_its_columns(self, wrong_axis_quartic,
+                                                          tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify-identity", "--samples", "200", "--bound", "100", "--seed", "3",
+                    "--out", str(out)]) == 1
+        expected = [[n1, x] for n1, x in wrong_axis_quartic if x % 7 == 0]
+        assert expected
+        assert json.loads(out.read_text())["counterexamples"] == expected
+        assert capsys.readouterr().out == f"{len(expected)} counterexamples / 200 cases (seed 3)\n"
+
 
 class TestFamily:
     def test_jsonl_output(self, capsys):
@@ -389,11 +434,8 @@ class TestStats:
     @pytest.mark.parametrize("bins", ["7", "2", "3"])
     def test_bad_bins(self, bins, capsys, tmp_path, monkeypatch):
         # rejected by the parser: no enumeration, no file read, no --out file
-        def fail(*args, **kwargs):
-            raise AssertionError("stats did work before checking --bins")
-
-        monkeypatch.setattr(partner_search, "enumerate_lambda", fail)
-        monkeypatch.setattr(partner_search, "read_report", fail)
+        monkeypatch.setattr(partner_search, "enumerate_lambda", _no_work)
+        monkeypatch.setattr(partner_search, "read_report", _no_work)
         out = tmp_path / "hist.csv"
         assert run(["stats", "--max-norm", "400", "--bins", bins, "--out", str(out)]) == 2
         assert "--bins" in capsys.readouterr().err

@@ -267,6 +267,13 @@ class TestProofIdentity:
         poly = quartic_coeffs((4, 0), 1)
         assert poly.a3 == 0 and poly.a1 == 0
 
+    def test_reports_each_column_with_a_wrong_quartic(self, wrong_axis_quartic):
+        report = check_proof_identity(200, 100, seed=3)
+        assert len(wrong_axis_quartic) == report.checked == 200
+        expected = [(n1, x) for n1, x in wrong_axis_quartic if x % 7 == 0]
+        assert len(expected) == 21
+        assert report.counterexamples == expected
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             check_proof_identity(0, 10)
