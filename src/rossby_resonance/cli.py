@@ -149,11 +149,13 @@ def _cmd_partners(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .partner_search import enumerate_lambda, report_to_jsonl
 
-    if args.out is not None and args.cache is not None and (
-        os.path.realpath(args.out) == os.path.realpath(args.cache)
-        or os.path.exists(args.cache) and os.path.samefile(args.out, args.cache)
+    if (
+        args.out is not None
+        and args.cache is not None
+        and os.path.exists(args.cache)
+        and os.path.samefile(args.out, args.cache)
     ):
-        # the result would overwrite the cache that the run appends to
+        # run has created --out, so one naming the cache exists; the result would overwrite it
         raise ValueError(f"--out and --cache name the same file: {args.out}")
     report = enumerate_lambda(args.max_norm, jobs=args.jobs, cache_path=args.cache)
     _write_text(args.out, report_to_jsonl(report))
