@@ -253,6 +253,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     out = getattr(args, "out", None)
+    if out is not None and os.path.islink(out):
+        # created and removed at its target, so that a dangling link stays a link
+        out = os.path.realpath(out)
     created = False
     status = None
     try:

@@ -34,10 +34,9 @@ package's only floating point, and no verdict depends on it.
 
 from __future__ import annotations
 
-import os
 import time
 from math import atan2, isqrt, pi
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact_core import (
     ResonantTriad,
@@ -288,13 +287,13 @@ def _triad_members(members) -> list[Wavenumber]:
 
 def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTriad]], int]:
     """Finished sources from a cache file with their triads, and the byte
-    offset just after the last complete line; ({}, 0) when absent.
+    offset just after the last complete line; ({}, 0) when absent or empty.
 
-    Each line after the header is one finished source of the box's
-    quadrant. A line without its newline was cut mid-write and ends the
-    read. A complete line that is not JSON is skipped: its source is
-    recomputed and the lines after it still count. A header cut before its
-    newline counts as an absent cache, so the file is started afresh. A JSON
+    Each line after the header is one finished source n of the box's
+    quadrant, n1 >= 1, n2 >= 0 and |n| <= max_norm. A line without its
+    newline was cut mid-write and ends the read. A complete line that is not
+    JSON is skipped: its source is recomputed and the later lines still
+    count. A header cut before its newline counts as an absent cache. A JSON
     line that is not a record of a quadrant source, or that holds a triad
     with neither the source nor its negation as a member, raises ValueError.
     """
@@ -319,7 +318,6 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             )
         if not first.endswith(b"\n"):
             return {}, 0
-        quadrant = set(_quadrant_points(max_norm))
         offset = len(first)
         for i, line in enumerate(fh, start=2):
             if not line.endswith(b"\n"):
@@ -338,7 +336,7 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
                 ) from exc
-            if n not in quadrant:
+            if n.n1 < 1 or n.n2 < 0 or n.norm2() > max_norm * max_norm:
                 raise ValueError(
                     f"cache file {path} line {i}: source {rec['n']} is outside the box quadrant"
                 )
@@ -353,10 +351,11 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
 def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> EnumerationReport:
     """Every resonant triad with a box member |n| <= max_norm = N.
 
-    Work is restricted to the canonical quadrant and expanded by the sign
-    symmetries afterwards. Identical inputs produce identical reports for
-    any jobs value; the cache file, when given, is appended to as sources
-    complete and consulted on the next run.
+    Work is restricted to the canonical quadrant: the triads of the cached
+    and the computed sources go into one list, and the report adds the
+    mirror of each. Identical inputs give identical reports for any jobs
+    value. The cache file, when given, is opened once, cut after its last
+    complete line, appended to as sources complete and read on the next run.
 
     A source n solves only its x < 0 branch, _outer_columns(n). Write a
     triad's members with positive first components as s, m and l = s + m:
@@ -366,11 +365,10 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     is the mirror of a quadrant point, which finds the mirrored triad; the
     expansion adds the mirrors.
 
-    So a source's cache line may hold only a part of the triads of its
-    partners. Lines that earlier versions wrote, with every partner's triad
-    or with the in-box cells of the columns n1 < |x| <= N left out, resume
-    to the same report: every line holds at least the trimmed one, and the
-    trimmed lines alone reach every triad.
+    So a source's cache line may hold a part of its partners' triads. Lines
+    of earlier versions, with every partner's triad or without the in-box
+    cells of the columns n1 < |x| <= N, resume to the same report: each
+    holds at least the trimmed line, and those alone reach every triad.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
@@ -382,41 +380,34 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     cached, keep = _read_cache(cache_path, max_norm) if cache_path else ({}, 0)
     pending = [n for n in points if n not in cached]
 
-    writer: IO[str] | None = None
-    if cache_path is not None:
-        if keep:
-            # drop the interrupted tail so appended lines start on a fresh line
-            os.truncate(cache_path, keep)
-            writer = open(cache_path, "a", encoding="utf-8")
-        else:
-            writer = open(cache_path, "w", encoding="utf-8")
-            writer.write(_dump_line(_cache_header(max_norm)) + "\n")
-            writer.flush()
-
-    per_source: dict[Wavenumber, list[ResonantTriad]] = dict(cached)
-    cost = {} if jobs == 1 else {n: _outer_count(n) for n in pending}
+    found = [t for triads_n in cached.values() for t in triads_n]
+    writer = open(cache_path, "a", encoding="utf-8") if cache_path is not None else None
     workers = 0
     try:
-        if jobs == 1 or sum(cost.values()) < POOL_MIN_QUARTICS:
-            computed: Iterable[tuple[Wavenumber, list[ResonantTriad]]] = map(_worker, pending)
-            _collect(computed, per_source, writer)
+        if writer is not None:
+            if writer.tell() > keep:
+                # drop a cut line or header, so appended lines start on a fresh line
+                writer.truncate(keep)
+            if keep == 0:
+                writer.write(_dump_line(_cache_header(max_norm)) + "\n")
+                writer.flush()
+        if jobs == 1 or sum(map(_outer_count, pending)) < POOL_MIN_QUARTICS:
+            _collect(map(_worker, pending), found, writer)
         else:
             from multiprocessing import Pool  # here so that a run in one process does not load it
 
             # costliest first, ties in canonical order, so no worker ends on a long source alone
-            order = sorted(pending, key=cost.__getitem__, reverse=True)
+            order = sorted(pending, key=_outer_count, reverse=True)
             workers = min(jobs, len(pending))
             chunk = max(1, len(pending) // (workers * 8))
             with Pool(processes=workers) as pool:
-                _collect(pool.imap_unordered(_worker, order, chunksize=chunk), per_source, writer)
+                _collect(pool.imap_unordered(_worker, order, chunksize=chunk), found, writer)
     finally:
         if writer is not None:
             writer.close()
     t_search = time.perf_counter()
 
-    report = report_from_triads(
-        max_norm, (m for n in points for t in per_source[n] for m in (t, t.mirrored()))
-    )
+    report = report_from_triads(max_norm, (m for t in found for m in (t, t.mirrored())))
     t_end = time.perf_counter()
 
     stats = {
@@ -434,10 +425,10 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     return report._replace(stats=stats)
 
 
-def _collect(results, per_source, writer) -> None:
-    """Record each finished source, and append it to the cache as one line."""
+def _collect(results, found: list[ResonantTriad], writer) -> None:
+    """Extend found by each finished source's triads; append its cache line."""
     for n, triads_n in results:
-        per_source[n] = triads_n
+        found.extend(triads_n)
         if writer is not None:
             writer.write(_dump_line({"n": n, "triads": [t.members() for t in triads_n]}) + "\n")
             writer.flush()

@@ -177,11 +177,12 @@ class TestClusters:
 def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(partner_search, "enumerate_lambda", _no_work)
     monkeypatch.setattr(verification, "verify_axis_theorem", _no_work)
-    out = tmp_path / "no-such-dir" / "x"
-    assert run(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no-such-dir" in captured.err
+    (tmp_path / "a-dir").mkdir()
+    for out in (tmp_path / "no-such-dir" / "x", tmp_path / "a-dir"):
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out) in captured.err
 
 
 FAILING_COMMANDS = [
@@ -205,6 +206,17 @@ def test_failed_run_leaves_an_existing_out_file_as_it_was(argv, tmp_path, capsys
     out.write_text("earlier result\n")
     assert run(argv + ["--out", str(out)]) == 2
     assert out.read_text() == "earlier result\n"
+
+
+def test_failed_run_through_a_dangling_symlink_leaves_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("L").symlink_to("P")
+    assert run(["clusters", "--in", "missing.jsonl", "--out", "L"]) == 2
+    assert not Path("P").exists()
+    assert Path("L").is_symlink()
+    assert run(["partners", "1", "11", "--out", "L"]) == 0
+    assert Path("P").read_text() == "-8 34\n9 -23\n"
+    assert Path("L").is_symlink()
 
 
 def test_counterexample_run_still_writes_its_report(tmp_path, monkeypatch, capsys):

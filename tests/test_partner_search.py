@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from itertools import accumulate
 from math import isqrt
@@ -562,6 +563,28 @@ class TestCache:
             assert len(cached) == resumed.stats["quadrant_points"] == 314
         assert resumed.stats["quadrant_lambda"] == fresh.stats["quadrant_lambda"]
         assert report_to_jsonl(resumed) == report_to_jsonl(fresh)
+
+    def test_empty_cache_file_resumes_as_absent(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b"")
+        report = enumerate_lambda(12, cache_path=cache)
+        assert report.stats["cache_hits"] == 0
+        assert report_to_jsonl(report) == report_to_jsonl(enumerate_lambda(12))
+        lines = cache.read_text().splitlines()
+        assert lines[0] == _dump_line(_cache_header(12))
+        assert all(set(json.loads(line)) == {"n", "triads"} for line in lines[1:])
+        # the null device reads empty too, and cannot be truncated
+        assert enumerate_lambda(12, cache_path=os.devnull).stats["cache_hits"] == 0
+
+    def test_resumed_cache_equals_the_uninterrupted_one(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        enumerate_lambda(12, cache_path=cache)
+        whole = cache.read_bytes()
+        # three bytes short of a line's end, in the second half of the sources
+        cache.write_bytes(whole[: whole.index(b"\n", len(whole) // 2) - 3])
+        resumed = enumerate_lambda(12, cache_path=cache)
+        assert 0 < resumed.stats["cache_hits"] < resumed.stats["quadrant_points"]
+        assert cache.read_bytes() == whole
 
     def test_mismatched_cache_rejected(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
