@@ -27,7 +27,6 @@ from .exact_core import (
     ResonantTriad,
     Wavenumber,
     canonical_triad,
-    is_resonant,
     quartic_coeffs,
 )
 
@@ -189,7 +188,12 @@ def verify_axis_theorem(n1_max: int) -> VerificationReport:
 
 
 def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, ResonantTriad]]:
-    """(n, canonical triad) of each member of the family, m-major order."""
+    """(n, canonical triad) of each member of the family, m-major order.
+
+    Every member is resonant by an identity that the test suite decides
+    exactly (test_family_is_resonant), so no member is tested here;
+    canonical_triad still refuses a pair that is not resonant.
+    """
     if m_max < 1 or l_max < 1:
         raise ValueError("m_max and l_max must be >= 1")
     for m in range(1, m_max + 1):
@@ -198,19 +202,15 @@ def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, Resonan
                 continue
             n = Wavenumber(m**4, m * l**3)
             k = Wavenumber(l**4, -(m**3) * l)
-            if not is_resonant(n, k):
-                raise RuntimeError(
-                    f"family member m={m}, l={l} failed the exact resonance check"
-                )
             yield n, canonical_triad(n, k)
 
 
 def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:
     """The two-parameter family n = (m^4, m l^3), partner (l^4, -m^3 l).
 
-    Every pair 1 <= m <= m_max, 1 <= l <= l_max with m != l is resonant by
-    an exact algebraic identity; a failing member would be a contract
-    violation, not a data point, hence the hard error.
+    Every pair 1 <= m <= m_max, 1 <= l <= l_max with m != l is resonant:
+    the residual numerator of (m^4, m l^3) and (l^4, -m^3 l) is the zero
+    polynomial in m and l, which test_family_is_resonant decides exactly.
     """
     return [triad for _, triad in _family_triads(m_max, l_max)]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import rossby_resonance
 from rossby_resonance import cli, partner_search, verification
 from rossby_resonance.cli import run
-from rossby_resonance.partner_search import enumerate_lambda, stats_anisotropy
+from rossby_resonance.partner_search import enumerate_lambda, histogram_to_csv, stats_anisotropy
 from rossby_resonance.verification import VerificationReport
 
 
@@ -470,6 +471,11 @@ class TestStatsAnisotropy:
         for bins in (3, 5, 2, 0):
             with pytest.raises(ValueError):
                 stats_anisotropy(report12, bins)
+
+    def test_box35_csv_is_pinned(self, report35):
+        csv = histogram_to_csv(stats_anisotropy(report35, 16))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "460e4daa912151c77f0021ae3b309b69ddc02ff2dffc48c29545ae343dd00dd2")
 
 
 def test_settings_come_from_the_command_line_only(tmp_path, monkeypatch, capsys):

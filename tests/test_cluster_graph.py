@@ -25,6 +25,8 @@ OMEGA2_TRIADS = [_triad(t) for t in FINITE_CLUSTER_2_TRIADS]
 
 # sha256 of clusters_to_json(build_components(enumerate_lambda(35).triads), 35)
 BOX35_CLUSTERS_SHA256 = "82c2f66dfdc62c766152495a5c5062fef424ed2bcd3df24f286624b590fb088b"
+# sha256 of clusters_to_json(build_components(enumerate_lambda(60).triads), 60)
+BOX60_CLUSTERS_SHA256 = "fb3daaf275c43c65949bc83460e93d354faf8d66a1c739a1a49b2c503834dcdb"
 
 
 class TestSignClass:
@@ -173,3 +175,8 @@ class TestClusterReport:
             triads.reverse()
         doc = clusters_to_json(build_components(triads), 35)
         assert hashlib.sha256(doc.encode()).hexdigest() == BOX35_CLUSTERS_SHA256
+
+    def test_box60_document_is_pinned(self, report60):
+        report, _ = report60
+        doc = clusters_to_json(build_components(report.triads), 60)
+        assert hashlib.sha256(doc.encode()).hexdigest() == BOX60_CLUSTERS_SHA256
