@@ -7,13 +7,14 @@ n1^2 x^4 <= |n|^6 with a bound on the gradient of sigma, searches the
 is even and n2 odd, where a parity argument rules the column out;
 find_partners proves the three branches, the cap and the parity rule.
 
-A column (x, lo, hi) is solved in one place, _column_hits, by the exact
-integer roots of its partner quartic, each confirmed with is_resonant.
-find_partners solves the partner columns; both add the complement n - k of
-every hit. The brute-force cell scan _cell_hits, which tests every cell, is
-only an oracle: naive_partner_oracle runs it over the disk
-|k| <= search_radius(n) = ceil(2 |n|^2 / |n1|) (the triangle inequality on
-the three dispersion terms), and tests compare the fast paths with it.
+A column (x, lo, hi) is solved in one place, _column_hits: its partner
+quartic is the numerator of the resonance residual, so the quartic's exact
+integer roots are the partners. find_partners solves the partner columns;
+both add the complement n - k of every hit. The brute-force cell scan
+_cell_hits, which tests every cell with is_resonant, is only an oracle:
+naive_partner_oracle runs it over the disk |k| <= search_radius(n) =
+ceil(2 |n|^2 / |n1|) (the triangle inequality on the three dispersion
+terms), and tests compare the fast paths with it.
 
 Enumeration over a norm box works in the quadrant n1 >= 1, n2 >= 0 and
 expands results through the sign symmetries, which cuts the work by four
@@ -34,6 +35,7 @@ package's only floating point, and no verdict depends on it.
 
 from __future__ import annotations
 
+import os
 import time
 from math import atan2, isqrt, pi
 from typing import Iterable, Iterator, NamedTuple
@@ -42,7 +44,6 @@ from .exact_core import (
     ResonantTriad,
     Wavenumber,
     _integer_roots_between,
-    canonical_triad,
     is_resonant,
     quartic_coeffs,
     sign_class,
@@ -158,8 +159,7 @@ def _column_hits(n, columns) -> Iterator[Wavenumber]:
     """Resonant (x, y) of n in columns (x, lo, hi): the column solver."""
     for x, lo, hi in columns:
         for y in _integer_roots_between(quartic_coeffs(n, x), lo, hi):
-            if is_resonant(n, (x, y)):
-                yield Wavenumber(x, y)
+            yield Wavenumber(x, y)
 
 
 def _cell_hits(n, columns) -> Iterator[Wavenumber]:
@@ -203,9 +203,11 @@ def find_partners(n) -> list[Wavenumber]:
     a0 = n2^4 x (mod 2), so for odd x the quartic is odd at every integer y
     and the column holds no partner. Both branches visit even x only.
 
-    The columns are solved by _column_hits: per column the quartic's
-    integer roots are isolated exactly in the y window, and every hit is
-    confirmed with is_resonant before it is accepted.
+    The columns are solved by _column_hits, which isolates the quartic's
+    integer roots exactly in each y window. The quartic is the residual
+    numerator (test_quartic_equals_residual_numerator), so every root is a
+    partner; naive_partner_oracle checks the search in
+    test_criterion_6_oracle_equivalence and TestFindPartners.
     """
     n1, n2 = n
     if n1 == 0:
@@ -238,7 +240,7 @@ def _quadrant_points(max_norm: int) -> list[Wavenumber]:
 
 def _worker(n: Wavenumber) -> tuple[Wavenumber, list[ResonantTriad]]:
     """n with the canonical triads it finds in its x < 0 branch, sorted."""
-    return n, sorted({canonical_triad(n, k) for k in _column_hits(n, _outer_columns(n))})
+    return n, sorted({ResonantTriad.from_members(k, n - k, -n) for k in _column_hits(n, _outer_columns(n))})
 
 
 def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
@@ -398,7 +400,7 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
 
             # costliest first, ties in canonical order, so no worker ends on a long source alone
             order = sorted(pending, key=_outer_count, reverse=True)
-            workers = min(jobs, len(pending))
+            workers = min(jobs, len(pending), os.cpu_count() or 1)
             chunk = max(1, len(pending) // (workers * 8))
             with Pool(processes=workers) as pool:
                 _collect(pool.imap_unordered(_worker, order, chunksize=chunk), found, writer)

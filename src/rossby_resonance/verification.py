@@ -23,12 +23,7 @@ import time
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .exact_core import (
-    ResonantTriad,
-    Wavenumber,
-    canonical_triad,
-    quartic_coeffs,
-)
+from .exact_core import ResonantTriad, Wavenumber, quartic_coeffs
 
 
 class VerificationReport(NamedTuple):
@@ -191,8 +186,8 @@ def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, Resonan
     """(n, canonical triad) of each member of the family, m-major order.
 
     Every member is resonant by an identity that the test suite decides
-    exactly (test_family_is_resonant), so no member is tested here;
-    canonical_triad still refuses a pair that is not resonant.
+    exactly (test_family_is_resonant), so no member is tested here; the
+    ResonantTriad constructor still refuses a pair that is not resonant.
     """
     if m_max < 1 or l_max < 1:
         raise ValueError("m_max and l_max must be >= 1")
@@ -202,7 +197,7 @@ def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, Resonan
                 continue
             n = Wavenumber(m**4, m * l**3)
             k = Wavenumber(l**4, -(m**3) * l)
-            yield n, canonical_triad(n, k)
+            yield n, ResonantTriad.from_members(k, n - k, -n)
 
 
 def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:

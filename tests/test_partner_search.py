@@ -231,6 +231,34 @@ class TestNormHits:
             list(_norm_hits((0, 3), {3: 2}))
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """multiprocessing.Pool replaced by one that starts no process. The
+    returned list records each pool's processes, then each imap_unordered's
+    (chunksize, fed order); the results come back in reverse order."""
+    import multiprocessing
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, iterable, chunksize):
+            order = list(iterable)
+            started.append((chunksize, order))
+            return map(func, reversed(order))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return started
+
+
 class TestEnumerateLambda:
     def test_tiny_box_is_empty(self):
         report = enumerate_lambda(3)
@@ -306,9 +334,8 @@ class TestEnumerateLambda:
         assert serial.lambda_members == parallel.lambda_members
         assert report_to_jsonl(serial) == report_to_jsonl(parallel)
 
-    def test_pool_has_no_more_workers_than_pending_sources(self, monkeypatch, tmp_path):
-        import multiprocessing
-
+    def test_pool_has_no_more_workers_than_pending_sources(
+            self, monkeypatch, tmp_path, in_process_pool):
         # a box-35 cache that leaves pending only the fewest costliest sources
         # whose summed cost reaches POOL_MIN_QUARTICS, fewer than jobs; in
         # canonical order with the costliest first, the order the pool is fed
@@ -321,30 +348,24 @@ class TestEnumerateLambda:
         cache.write_text(lines[0] + "".join(
             line for line in lines[1:] if Wavenumber(*json.loads(line)["n"]) not in pending))
         jobs = len(pending) + 5
-        started = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, func, iterable, chunksize):
-                order = list(iterable)
-                started.append((chunksize, order))
-                return map(func, reversed(order))
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        # as many CPUs as jobs, so that the pending sources are the cap
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
         report = enumerate_lambda(35, jobs=jobs, cache_path=cache)
-        assert started == [len(pending), (1, pending)]
+        assert in_process_pool == [len(pending), (1, pending)]
         assert report.stats["jobs"] == jobs
         assert report.stats["workers"] == len(pending)
         assert report.stats["cache_hits"] == report.stats["quadrant_points"] - len(pending)
         assert report_to_jsonl(report) == report_to_jsonl(full)
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_pool_has_no_more_workers_than_cpus(
+            self, monkeypatch, in_process_pool, report35, cpus, workers):
+        # os.cpu_count() is None when the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = enumerate_lambda(35, jobs=10**6)
+        assert in_process_pool[0] == workers
+        assert report.stats["workers"] == workers
+        assert report_to_jsonl(report) == report_to_jsonl(report35)
 
     def test_small_box_runs_in_one_process(self):
         report = enumerate_lambda(20, jobs=2)
@@ -353,8 +374,10 @@ class TestEnumerateLambda:
         assert report.stats["jobs"] == 2
         assert enumerate_lambda(20).stats["workers"] == 0
 
-    def test_pool_run_matches_one_process_and_resumes(self, tmp_path, report35):
-        # box 35 solves 19 808 quartics, enough to start the pool
+    def test_pool_run_matches_one_process_and_resumes(self, monkeypatch, tmp_path, report35):
+        # box 35 solves 19 808 quartics, enough to start the pool; two CPUs
+        # make the two workers independent of the machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial = report_to_jsonl(report35)
         cache = tmp_path / "cache.jsonl"
         pooled = enumerate_lambda(35, jobs=2, cache_path=cache)
@@ -378,6 +401,8 @@ BOX35_JSONL_SHA256 = "539d418f40f25a50d99d8135469cfcdf0321ae59107c20818089437c37
 # sha256 of report_to_jsonl(enumerate_lambda(60)), also the stdout of
 # enumerate --max-norm 60
 BOX60_JSONL_SHA256 = "2490724a7c8eeafa3a40daa6b0c7f78f239ca4ed3b48faaa3cf5299e1c4848f8"
+# sha256 of the cache that a fresh enumerate_lambda(35, cache_path=P) writes
+BOX35_CACHE_SHA256 = "18b04f2c10512a25733640b52c4e6afbb8c23beb6e72876f58c4fafe690e0872"
 
 
 class TestJsonl:
@@ -585,6 +610,14 @@ class TestCache:
         resumed = enumerate_lambda(12, cache_path=cache)
         assert 0 < resumed.stats["cache_hits"] < resumed.stats["quadrant_points"]
         assert cache.read_bytes() == whole
+
+    def test_fresh_cache_bytes_are_pinned(self, tmp_path):
+        # the header and one line per quadrant source, in canonical order
+        cache = tmp_path / "cache.jsonl"
+        enumerate_lambda(35, cache_path=cache)
+        data = cache.read_bytes()
+        assert data.count(b"\n") == 1 + len(_quadrant_points(35)) == 964
+        assert hashlib.sha256(data).hexdigest() == BOX35_CACHE_SHA256
 
     def test_mismatched_cache_rejected(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
