@@ -50,8 +50,8 @@ def build_components(triads: Iterable[ResonantTriad]) -> list[Cluster]:
     edges = []
     for triad in triads:
         if not isinstance(triad, ResonantTriad):
-            triad = ResonantTriad.from_members(*triad)
-        classes = [sign_class(m) for m in triad.members()]
+            triad = ResonantTriad(*triad)
+        classes = [sign_class(m) for m in triad]
         edges.append((triad, classes))
         for w in classes:
             parent.setdefault(w, w)
@@ -108,11 +108,9 @@ def clusters_to_json(clusters: list[Cluster], max_norm: int | None) -> str:
         "truncation_note": TRUNCATION_NOTE,
         "clusters": [
             {
-                "members": [[w.n1, w.n2] for w in sorted(cluster.members)],
+                "members": sorted(cluster.members),
                 "lambda_seq": list(cluster.lambda_seq),
-                "triads": [
-                    [[m.n1, m.n2] for m in t.members()] for t in sorted(cluster.triads)
-                ],
+                "triads": sorted(cluster.triads),
                 "scaling_flag": flag_scaling(cluster),
             }
             for cluster in clusters

@@ -102,19 +102,21 @@ class _TriadFields(NamedTuple):
 
 
 class ResonantTriad(_TriadFields):
-    """Canonical zero-sum triple of wavenumbers in exact resonance.
+    """Zero-sum triple of wavenumbers in exact resonance, in canonical form.
 
-    Invariants, enforced at construction, unpickling, _make and _replace:
-    the members sum to (0, 0) componentwise, every member has a nonzero
-    zonal component, (-c, a) passes is_resonant, the members are sorted
-    ascending, and of the triple and its negation the lexicographically
-    smaller sorted tuple is stored. Hash and order are those of (a, b, c).
+    The members may be given in any order and either sign: the constructor
+    sorts them and stores the lexicographically smaller of the sorted triple
+    and its sorted negation. Invariants, enforced at construction,
+    unpickling, _make and _replace: the members sum to (0, 0) componentwise,
+    every member has a nonzero zonal component, and (-c, a) passes
+    is_resonant. Hash and order are those of (a, b, c).
     """
 
     __slots__ = ()
 
     def __new__(cls, a, b, c):
-        self = super().__new__(cls, Wavenumber(*a), Wavenumber(*b), Wavenumber(*c))
+        members = sorted(Wavenumber(*m) for m in (a, b, c))
+        self = super().__new__(cls, *min(members, sorted(-m for m in members)))
         total = self.a + self.b + self.c
         if total != (0, 0):
             raise ValueError(f"triad members must sum to zero, got {total}")
@@ -122,27 +124,13 @@ class ResonantTriad(_TriadFields):
             raise ValueError("triad members must have nonzero zonal components")
         if not is_resonant(-self.c, self.a):
             raise ValueError("triad is not resonant: sigma values do not sum to zero")
-        if list(self) != sorted(self):
-            raise ValueError("triad members must be sorted ascending")
-        if list(self) > sorted(-m for m in self):
-            raise ValueError("triad must be the lexicographically smaller of itself and its negation")
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    @classmethod
-    def from_members(cls, p, q, r) -> "ResonantTriad":
-        """Canonicalize an unordered zero-sum resonant triple."""
-        members = sorted(Wavenumber(*m) for m in (p, q, r))
-        negated = sorted(-m for m in members)
-        return cls(*min(members, negated))
-
-    def members(self) -> tuple[Wavenumber, Wavenumber, Wavenumber]:
-        return (self.a, self.b, self.c)
-
     def mirrored(self) -> "ResonantTriad":
         """The meridionally reflected triad, re-canonicalized."""
-        return ResonantTriad.from_members(*(m.mirror() for m in self.members()))
+        return ResonantTriad(*(m.mirror() for m in self))
 
 
 def _check_admissible(n1: int, x: int) -> None:
@@ -191,7 +179,7 @@ def canonical_triad(n, k) -> ResonantTriad:
         raise ValueError(f"pair n={tuple(n)}, k={tuple(k)} is not resonant")
     n = Wavenumber(*n)
     k = Wavenumber(*k)
-    return ResonantTriad.from_members(k, n - k, -n)
+    return ResonantTriad(k, n - k, -n)
 
 
 def quartic_coeffs(n, x: int) -> QuarticPoly:

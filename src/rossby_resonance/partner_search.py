@@ -240,15 +240,11 @@ def _quadrant_points(max_norm: int) -> list[Wavenumber]:
 
 def _worker(n: Wavenumber) -> tuple[Wavenumber, list[ResonantTriad]]:
     """n with the canonical triads it finds in its x < 0 branch, sorted."""
-    return n, sorted({ResonantTriad.from_members(k, n - k, -n) for k in _column_hits(n, _outer_columns(n))})
+    return n, sorted({ResonantTriad(k, n - k, -n) for k in _column_hits(n, _outer_columns(n))})
 
 
 def _triad_record(triad: ResonantTriad, source: Wavenumber) -> dict:
-    return {
-        "triad": [[m.n1, m.n2] for m in triad.members()],
-        "source_n": [source.n1, source.n2],
-        "norms2": [m.norm2() for m in triad.members()],
-    }
+    return {"triad": triad, "source_n": source, "norms2": [m.norm2() for m in triad]}
 
 
 def _dump_line(obj: dict) -> str:
@@ -314,6 +310,8 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
             header = json.loads(first)
         except ValueError:
             raise ValueError(f"cache file {path} has a corrupt header line")
+        if not isinstance(header, dict) or header.get("kind") != "cache":
+            raise ValueError(f'{path} is not a resume cache: its header has no "kind":"cache"')
         if header != _cache_header(max_norm):
             raise ValueError(
                 f"cache file {path} was written for different parameters: {header}"
@@ -333,7 +331,7 @@ def _read_cache(path, max_norm: int) -> tuple[dict[Wavenumber, list[ResonantTria
                 if not isinstance(rec, dict) or type(rec.get("triads")) is not list:
                     raise ValueError('expected {"n": [n1, n2], "triads": [...]}')
                 n = _wavenumber(rec.get("n"))
-                triads = [ResonantTriad.from_members(*_triad_members(t)) for t in rec["triads"]]
+                triads = [ResonantTriad(*_triad_members(t)) for t in rec["triads"]]
             except ValueError as exc:
                 raise ValueError(
                     f"cache file {path} line {i}: not a finished-source record: {exc}"
@@ -432,14 +430,14 @@ def _collect(results, found: list[ResonantTriad], writer) -> None:
     for n, triads_n in results:
         found.extend(triads_n)
         if writer is not None:
-            writer.write(_dump_line({"n": n, "triads": [t.members() for t in triads_n]}) + "\n")
+            writer.write(_dump_line({"n": n, "triads": triads_n}) + "\n")
             writer.flush()
 
 
 def _box_source(triad: ResonantTriad, max_norm: int) -> Wavenumber:
     """Smallest sign-normalized box member of the triad: its box anchor."""
     m2 = max_norm * max_norm
-    candidates = [s for s in map(sign_class, triad.members()) if s.norm2() <= m2]
+    candidates = [s for s in map(sign_class, triad) if s.norm2() <= m2]
     if not candidates:
         raise ValueError("triad has no member inside the box")
     return min(candidates)
@@ -513,7 +511,7 @@ def read_triads_jsonl(stream: Iterable[str]) -> tuple[dict, list[ResonantTriad]]
             raise ValueError(f"line {i}: not a triad record")
         try:
             members = _triad_members(rec["triad"])
-            triad = ResonantTriad.from_members(*members)
+            triad = ResonantTriad(*members)
             source = _wavenumber(rec["source_n"]) if "source_n" in rec else members[0]
             norms2 = [m.norm2() for m in members]
             given = rec.get("norms2", norms2)
@@ -544,10 +542,10 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
     m2 = max_norm * max_norm
     members: set[Wavenumber] = set()
     for t in triad_set:
-        inside = [m for m in t.members() if m.norm2() <= m2]
+        inside = [m for m in t if m.norm2() <= m2]
         if not inside:
             raise ValueError(
-                f"triad {[list(m) for m in t.members()]} has no member inside the box "
+                f"triad {[list(m) for m in t]} has no member inside the box "
                 f"|n| <= {max_norm}"
             )
         members.update(inside)

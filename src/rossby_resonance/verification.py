@@ -197,7 +197,7 @@ def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, Resonan
                 continue
             n = Wavenumber(m**4, m * l**3)
             k = Wavenumber(l**4, -(m**3) * l)
-            yield n, ResonantTriad.from_members(k, n - k, -n)
+            yield n, ResonantTriad(k, n - k, -n)
 
 
 def generate_family(m_max: int, l_max: int) -> list[ResonantTriad]:

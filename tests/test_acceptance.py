@@ -108,7 +108,7 @@ def test_criterion_3_axis_theorem(report60, report12):
     box60, _ = report60
     for rep in (box60, report12):
         assert all(m.n2 != 0 for m in rep.lambda_members)
-        assert all(w.n2 != 0 for t in rep.triads for w in t.members())
+        assert all(w.n2 != 0 for t in rep.triads for w in t)
     _passed(3, f"{report.checked} axis cases clean in {report.wall_time_ms:.0f} ms; "
                f"boxes 12 and 60 have no members with n2 = 0")
 

@@ -255,6 +255,11 @@ MALFORMED_INPUTS = [
     (["enumerate", "--max-norm", "5", "--cache"],
      '{"schema":1,"max_norm":5,"quadrant":true,"kind":"cache"}\n{"done_upto":[1,0]}\n',
      "written for different parameters"),
+    # a result file, or a first line that is not an object, is not a resume cache
+    (["enumerate", "--max-norm", "5", "--cache"], RESULT_HEADER + GOLDEN_RECORD,
+     'input.jsonl is not a resume cache: its header has no "kind":"cache"'),
+    (["enumerate", "--max-norm", "5", "--cache"], "[5]\n",
+     'input.jsonl is not a resume cache: its header has no "kind":"cache"'),
     # result headers whose max_norm is not an integer >= 1
     (["clusters", "--in"], '{"schema":1,"max_norm":"40","quadrant":true}\n', "max_norm"),
     (["stats", "--in"], '{"schema":1,"max_norm":-3,"quadrant":true}\n', "max_norm"),
@@ -325,7 +330,7 @@ MALFORMED_INPUTS = [
     MALFORMED_INPUTS,
     ids=["clusters-int", "stats-int", "clusters-short-triad", "stats-short-triad",
          "clusters-only-int", "stats-only-int", "cache-marker", "cache-short-triad",
-         "cache-origin", "cache-outside-box", "cache-schema-1",
+         "cache-origin", "cache-outside-box", "cache-schema-1", "cache-given-result", "cache-given-list",
          "header-max-norm-str", "header-max-norm-negative", "header-max-norm-float",
          "header-max-norm-bool", "clusters-bool-component", "cache-bool-component",
          "cache-float-component", "cache-foreign-triad", "clusters-triad-outside-box",

@@ -17,7 +17,7 @@ from rossby_resonance.exact_core import ResonantTriad, Wavenumber, sign_class
 
 
 def _triad(triple):
-    return ResonantTriad.from_members(*triple)
+    return ResonantTriad(*triple)
 
 
 OMEGA1_TRIAD = _triad(FINITE_CLUSTER_1)
@@ -90,7 +90,7 @@ class TestBuildComponents:
         for c in comps:
             assert not (c.members & seen)
             seen |= c.members
-        all_classes = {sign_class(w) for t in report.triads for w in t.members()}
+        all_classes = {sign_class(w) for t in report.triads for w in t}
         assert seen == all_classes
 
     def test_rebuild_is_idempotent(self, report60):

@@ -1,9 +1,12 @@
+import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import GOLDEN_TRIADS
 from rossby_resonance.exact_core import (
     QuarticPoly,
     ResonantTriad,
@@ -128,7 +131,7 @@ class TestResidual:
 class TestCanonicalTriad:
     def test_finite_cluster_triad(self):
         t = canonical_triad((1, 11), (-8, 34))
-        assert t.members() == (
+        assert t == (
             Wavenumber(-9, 23),
             Wavenumber(1, 11),
             Wavenumber(8, -34),
@@ -136,7 +139,7 @@ class TestCanonicalTriad:
 
     def test_family_triad(self):
         t = canonical_triad((1, 8), (16, -2))
-        assert t.members() == (
+        assert t == (
             Wavenumber(-16, 2),
             Wavenumber(1, 8),
             Wavenumber(15, -10),
@@ -144,8 +147,8 @@ class TestCanonicalTriad:
 
     def test_rederivation_is_idempotent(self):
         t = canonical_triad((1, 11), (-8, 34))
-        for m in t.members():
-            others = [w for w in t.members() if w != m]
+        for m in t:
+            others = [w for w in t if w != m]
             # m appears in the triad, so -m decomposes into the other two
             assert canonical_triad(-m, others[0]) == t
             assert canonical_triad(-m, others[1]) == t
@@ -153,7 +156,7 @@ class TestCanonicalTriad:
     def test_scaling_homogeneity(self):
         t1 = canonical_triad((1, 11), (-8, 34))
         t2 = canonical_triad((2, 22), (-16, 68))
-        assert t2.members() == tuple(2 * m for m in t1.members())
+        assert t2 == tuple(2 * m for m in t1)
 
     def test_non_resonant_rejected(self):
         with pytest.raises(ValueError):
@@ -165,16 +168,14 @@ class TestCanonicalTriad:
         # zero-sum but not resonant
         with pytest.raises(ValueError):
             ResonantTriad(Wavenumber(-2, 0), Wavenumber(1, 1), Wavenumber(1, -1))
-        # resonant but not in canonical member order
-        with pytest.raises(ValueError):
-            ResonantTriad(Wavenumber(1, 11), Wavenumber(-9, 23), Wavenumber(8, -34))
-        # canonical form must be the lexicographically smaller of the pair
-        with pytest.raises(ValueError):
-            ResonantTriad(Wavenumber(-8, 34), Wavenumber(-1, -11), Wavenumber(9, -23))
+        # members in another order, or negated, are put in canonical form
+        canonical = canonical_triad((1, 11), (-8, 34))
+        assert ResonantTriad(Wavenumber(1, 11), Wavenumber(-9, 23), Wavenumber(8, -34)) == canonical
+        assert ResonantTriad(Wavenumber(-8, 34), Wavenumber(-1, -11), Wavenumber(9, -23)) == canonical
 
     def test_hash_and_order_are_those_of_the_plain_tuple(self):
         members = (((1, 11), (8, -34), (-9, 23)), ((3, 19), (32, -44), (-35, 25)), ((1, -8), (15, 10), (-16, -2)))
-        triads = [ResonantTriad.from_members(*m) for m in members]
+        triads = [ResonantTriad(*m) for m in members]
         for t in triads:
             assert t == tuple(t)
             assert hash(t) == hash(tuple(t))
@@ -200,9 +201,15 @@ class TestCanonicalTriad:
         with pytest.raises(ValueError, match="sum to zero"):
             ResonantTriad._make([(1, 1), (2, 2), (3, 3)])
 
-    def test_from_members_accepts_any_presentation(self):
-        t = ResonantTriad.from_members((9, -23), (-1, -11), (-8, 34))
-        assert t == canonical_triad((1, 11), (-8, 34))
+    @pytest.mark.parametrize("triple", GOLDEN_TRIADS)
+    def test_constructor_accepts_any_order_and_sign(self, triple):
+        p, q, r = triple
+        canonical = canonical_triad(-Wavenumber(*r), p)
+        built = {ResonantTriad(*(sign * Wavenumber(*m) for m in order))
+                 for order in itertools.permutations(triple) for sign in (1, -1)}
+        assert built == {canonical}
+        for back in (copy.copy(canonical), copy.deepcopy(canonical), pickle.loads(pickle.dumps(canonical))):
+            assert back == canonical and type(back) is ResonantTriad
 
 
 class TestQuarticCoeffs:

@@ -198,7 +198,7 @@ class TestNormHits:
             n = (rng.randint(-120, 120), rng.randint(-120, 120))
             if n[0] != 0:
                 points.add(n)
-        points.update(m for t in report.triads for m in t.members()
+        points.update(m for t in report.triads for m in t
                       if abs(m.n1) <= 120 and abs(m.n2) <= 120)
         found = 0
         for n in sorted(points):
@@ -282,7 +282,7 @@ class TestEnumerateLambda:
     def test_no_axis_members(self, report12):
         assert all(m.n1 != 0 and m.n2 != 0 for m in report12.lambda_members)
         for t in report12.triads:
-            assert all(w.n2 != 0 for w in t.members())
+            assert all(w.n2 != 0 for w in t)
 
     def test_symmetry_closure(self, report12):
         members = report12.lambda_members
@@ -294,14 +294,14 @@ class TestEnumerateLambda:
     def test_members_appear_in_triads(self, report12):
         in_triads = set()
         for t in report12.triads:
-            for w in t.members():
+            for w in t:
                 in_triads.update((w, -w))
         assert set(report12.lambda_members) <= in_triads
 
     def test_triad_members_inside_box_are_members(self, report12):
         box2 = report12.max_norm ** 2
         for t in report12.triads:
-            for w in t.members():
+            for w in t:
                 if w.norm2() <= box2:
                     assert w in report12.lambda_members
 
@@ -314,7 +314,7 @@ class TestEnumerateLambda:
     def test_matches_every_source_union(self, every_source_union, max_norm):
         # the box columns of each source find every triad with a box member
         m2 = max_norm * max_norm
-        expected = {t for t in every_source_union if any(m.norm2() <= m2 for m in t.members())}
+        expected = {t for t in every_source_union if any(m.norm2() <= m2 for m in t)}
         assert enumerate_lambda(max_norm).triads == expected
 
     def test_quadrant_lambda(self, report12):
@@ -459,7 +459,7 @@ class TestJsonl:
             lines = [_dump_line(_header(40)), _dump_line({"triad": triad, **fields})]
             return read_triads_jsonl(lines)[1]
 
-        expected = [ResonantTriad.from_members(*triad)]
+        expected = [ResonantTriad(*triad)]
         assert read() == expected
         assert read(source_n=[-8, 34], norms2=[610, 122, 1220]) == expected
         for fields in ({"source_n": [5, 5]}, {"source_n": [1, 11.0]}, {"source_n": 1},
@@ -579,7 +579,7 @@ class TestCache:
             assert any(line[k][n] != outer[n] for n in cached if writer[n] == k), k
         lines = [_dump_line(_cache_header(20))]
         for n in cached:
-            lines.append(_dump_line({"n": n, "triads": [t.members() for t in line[writer[n]][n]]}))
+            lines.append(_dump_line({"n": n, "triads": line[writer[n]][n]}))
         cache = tmp_path / "cache.jsonl"
         cache.write_text("\n".join(lines) + "\n")
         resumed = enumerate_lambda(20, cache_path=cache)
@@ -655,4 +655,4 @@ def test_reports_of_one_box_are_equal_whatever_their_stats():
 def test_every_triad_is_canonical(report12):
     for t in report12.triads:
         assert isinstance(t, ResonantTriad)
-        assert t == ResonantTriad.from_members(*t.members())
+        assert t == ResonantTriad(*t)

@@ -192,8 +192,8 @@ def test_canonical_triad_is_presentation_invariant(m, l, j, mirror, negate):
     if negate:
         n, k = -n, -k
     triad = canonical_triad(n, k)
-    for member in triad.members():
-        others = [w for w in triad.members() if w != member]
+    for member in triad:
+        others = [w for w in triad if w != member]
         assert canonical_triad(-member, others[0]) == triad
 
 

@@ -209,12 +209,12 @@ class TestGenerateFamily:
     def test_reference_members(self):
         triads = generate_family(2, 2)
         assert len(triads) == 2
-        assert triads[0].members() == (
+        assert triads[0] == (
             Wavenumber(-16, 2),
             Wavenumber(1, 8),
             Wavenumber(15, -10),
         )
-        assert triads[1].members() == (
+        assert triads[1] == (
             Wavenumber(-16, -2),
             Wavenumber(1, -8),
             Wavenumber(15, 10),
@@ -230,13 +230,13 @@ class TestGenerateFamily:
 
     def test_legs_are_pairwise_distinct(self):
         for triad in generate_family(4, 4):
-            a, b, c = triad.members()
+            a, b, c = triad
             assert len({a, b, c}) == 3
 
     def test_every_member_is_resonant(self):
         # construction already runs the exact check; re-verify independently
         for triad in generate_family(3, 3):
-            a, b, c = triad.members()
+            a, b, c = triad
             assert is_resonant(-c, a)
 
     def test_bad_bounds(self):
