@@ -216,12 +216,16 @@ def _poly_eval(coeffs: Iterable[int], t: int) -> int:
     return acc
 
 
-def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """One degree of _integer_roots_between: poly evaluates the polynomial
-    at an integer, and inherited are the sorted markers of its derivative,
-    repeats allowed. Returns the integer roots of poly in [lo, hi], each a
-    checkpoint or met exactly by bisection, and the markers of poly:
-    inherited plus the floor of every root found."""
+def _refine_floors(
+    c4: int, c3: int, c2: int, c1: int, c0: int, inherited: list[int], lo: int, hi: int
+) -> tuple[list[int], list[int]]:
+    """One degree of _integer_roots_between for the polynomial
+    c4 t^4 + c3 t^3 + c2 t^2 + c1 t + c0, whose Horner form is evaluated
+    inline at each checkpoint and bisection midpoint; c4 = 0 gives the
+    cubic p'. inherited are the sorted markers of its derivative, repeats
+    allowed. Returns the integer roots of the polynomial in [lo, hi], each
+    a checkpoint or met exactly by bisection, and its markers: inherited
+    plus the floor of every root found."""
     points = [lo]
     for f in inherited:
         if f > points[-1]:
@@ -231,18 +235,18 @@ def _refine_floors(poly, inherited: list[int], lo: int, hi: int) -> tuple[list[i
     if hi > points[-1]:
         points.append(hi)
     roots, floors = [], []
-    p, vp = lo, poly(lo)
+    p, vp = lo, (((c4 * lo + c3) * lo + c2) * lo + c1) * lo + c0
     if vp == 0:
         roots.append(lo)
     for q in points[1:]:
-        vq = poly(q)
+        vq = (((c4 * q + c3) * q + c2) * q + c1) * q + c0
         if vq == 0:
             roots.append(q)
         elif vp * vq < 0:
             a, b, va = p, q, vp
             while b - a > 1:
                 mid = (a + b) // 2
-                vm = poly(mid)
+                vm = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
                 if vm == 0:
                     roots.append(mid)
                     break
@@ -272,34 +276,39 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
     """All integers y with lo <= y <= hi and p(y) = 0, sorted ascending, for
     the quartic p with coefficients a4..a0 and a4 != 0.
 
-    Horner is inlined, and the sign is normalised to a4 > 0, which keeps
-    every root. The root floors of p'' (_p2_floors) are refined into markers
-    for p' and then into the roots of p (_refine_floors). Carrying each
-    derivative's markers makes the search complete: a root either gives a
-    strict sign change between consecutive checkpoints (found by bisection,
-    valid because a segment wider than one unit holds no derivative root and
-    is monotone), lands on a checkpoint, or shares its unit cell with a
-    derivative root (even multiplicity directly; two roots in one cell or a
-    root next to a root endpoint via Rolle) and is a checkpoint through the
-    inherited marker. A root is returned only where exact evaluation gives 0.
+    The sign is normalised to a4 > 0, which keeps every root. The root
+    floors of p'' (_p2_floors) are refined into markers for p', passed to
+    _refine_floors as the coefficients (0, 4 a4, 3 a3, 2 a2, a1), and then
+    into the roots of p, passed as (a4, a3, a2, a1, a0); Horner is inlined
+    in _refine_floors. Carrying each derivative's markers makes the search
+    complete: a root either gives a strict sign change between consecutive
+    checkpoints (found by bisection, valid because a segment wider than one
+    unit holds no derivative root and is monotone), lands on a checkpoint,
+    or shares its unit cell with a derivative root (even multiplicity
+    directly; two roots in one cell or a root next to a root endpoint via
+    Rolle) and is a checkpoint through the inherited marker. A root is
+    returned only where exact evaluation gives 0.
     """
     if lo > hi:
         return []
     a4, a3, a2, a1, a0 = coeffs
     if a4 < 0:
         a4, a3, a2, a1, a0 = -a4, -a3, -a2, -a1, -a0
-    b3, b2, b1 = 4 * a4, 3 * a3, 2 * a2
     markers = _p2_floors(a4, a3, a2, lo, hi)
-    _, markers = _refine_floors(lambda t: ((b3 * t + b2) * t + b1) * t + a1, markers, lo, hi)
-    roots, _ = _refine_floors(lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t + a0, markers, lo, hi)
+    _, markers = _refine_floors(0, 4 * a4, 3 * a3, 2 * a2, a1, markers, lo, hi)
+    roots, _ = _refine_floors(a4, a3, a2, a1, a0, markers, lo, hi)
     return roots
 
 
 def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
     """All integers y with |y| <= bound and p(y) = 0, sorted ascending, for
-    a quartic p = (a4, a3, a2, a1, a0) with a4 != 0."""
-    if len(p) != 5 or not p[0] or bound < 0:
-        raise ValueError("integer_roots takes a quartic (a4, ..., a0) with a4 != 0 and a bound >= 0")
+    a quartic p = (a4, a3, a2, a1, a0) with a4 != 0. The coefficients and
+    the bound must be ints (not bools or floats), so every evaluation is exact."""
+    ints = len(p) == 5 and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is type(p[4]) is int
+    if not ints or not p[0]:
+        raise ValueError(f"integer_roots takes p = (a4, ..., a0), five ints with a4 != 0, got {p!r}")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"integer_roots takes an int bound >= 0, got {bound!r}")
     return _integer_roots_between(p, -bound, bound)
 
 

@@ -53,9 +53,9 @@ JSONL_SCHEMA = 1
 CACHE_SCHEMA = 2
 # Below this many partner quartics over the pending sources, enumerate_lambda
 # runs in one process whatever jobs says. On a 2-core machine a two-worker
-# pool costs about 54 ms to start, feed and stop, and saves about 8 us of the
-# 17 us a quartic takes inline: it breaks even near 6 600 quartics on an idle
-# machine and above 11 000 on a loaded one.
+# pool costs about 33 ms to start, feed and stop, and saves about 3.9 us of the
+# 8.7 us a quartic takes inline: it breaks even near 8 400 quartics on an idle
+# machine and near 21 000 beside one other busy process.
 POOL_MIN_QUARTICS = 12_000
 
 

@@ -17,6 +17,7 @@ from rossby_resonance.exact_core import (
     _integer_roots_between,
     _p2_floors,
     _poly_eval,
+    _refine_floors,
     _residual_numden,
     _split_prime,
     canonical_triad,
@@ -303,6 +304,21 @@ class TestIntegerRoots:
         with pytest.raises(ValueError):
             integer_roots(QuarticPoly(1, 0, 0, 0, 0), -1)
 
+    def test_non_int_arguments_rejected(self):
+        # a float coefficient or bound would be evaluated in floating point:
+        # -2.0**64 - 1.0 rounds to -2**64, whose quartic has the roots
+        # -+65536, although the int quartic below has no integer root
+        assert integer_roots(QuarticPoly(1, 0, 0, 0, -(2**64 + 1)), 70000) == []
+        for p, bound, named in (
+            ((1, 0, 0, 0, -2.0**64 - 1.0), 70000, "takes p "),
+            ((1.0, 0, 0, 0, -16), 5, "takes p "),
+            ((True, 0, 0, 0, -1), 5, "takes p "),
+            ((1, 0, 0, 0, -16), 5.0, "bound"),
+            ((1, 0, 0, 0, -16), True, "bound"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                integer_roots(p, bound)
+
     def test_against_exhaustive_scan(self):
         rng = random.Random(5)
         for _ in range(400):
@@ -405,6 +421,32 @@ class TestIntegerRootsBetween:
                 if below(t) and not below(t + 1)
             }
             assert floors <= set(_p2_floors(a4, a3, a2, lo, hi)), coeffs
+
+    def test_cubic_markers_hold_the_floors_of_the_p1_roots(self):
+        # the p' stage passes the cubic as the quartic (0, 4 a4, 3 a3, 2 a2, a1);
+        # an integer sign scan of p' finds every root that it can see: an exact
+        # zero, or a strict sign change across a unit cell
+        rng = random.Random(43)
+        cases = []
+        for _ in range(600):
+            cases.append([rng.choice([-4, -3, -1, 1, 2, 5])] + [rng.randint(-400, 400) for _ in range(4)])
+        for _ in range(300):
+            r1 = rng.randint(-40, 40)
+            lead = rng.choice([-3, -1, 1, 2])
+            cases.append(_expand(lead, (r1, r1, r1 + rng.randint(0, 2), r1 - rng.randint(0, 3))))
+        seen = 0
+        for coeffs in cases:
+            a4, a3, a2, a1, _ = coeffs if coeffs[0] > 0 else [-c for c in coeffs]
+            dp = lambda t: ((4 * a4 * t + 3 * a3) * t + 2 * a2) * t + a1
+            lo, hi = rng.randint(-60, 0), rng.randint(0, 60)
+            inherited = _p2_floors(a4, a3, a2, lo, hi)
+            roots, markers = _refine_floors(0, 4 * a4, 3 * a3, 2 * a2, a1, inherited, lo, hi)
+            zeros = [t for t in range(lo, hi + 1) if dp(t) == 0]
+            crossings = [t for t in range(lo, hi) if dp(t) * dp(t + 1) < 0]
+            assert roots == zeros, coeffs
+            assert set(inherited) | set(zeros) | set(crossings) <= set(markers), coeffs
+            seen += len(zeros) + len(crossings)
+        assert seen > 500
 
 
 class TestGaussianNormSolutions:
