@@ -11,9 +11,9 @@ pays only for the modules it runs.
 _HOMES = {
     "cluster_graph": ("NO_SCALING_DETECTED", "SCALING_FAMILY_DETECTED", "Cluster", "build_components",
                       "flag_scaling", "order_clusters"),
-    "exact_core": ("QuarticPoly", "ResonantTriad", "TrivialInteractionError", "Wavenumber",
-                   "canonical_triad", "integer_roots", "is_resonant", "quartic_coeffs", "sign_class"),
-    "rational": ("ReducedFraction", "residual", "sigma"),
+    "exact_core": ("ResonantTriad", "TrivialInteractionError", "Wavenumber", "integer_roots",
+                   "is_resonant", "quartic_coeffs", "sign_class"),
+    "rational": ("residual", "sigma"),
     "partner_search": ("AngularHistogram", "EnumerationReport", "enumerate_lambda", "find_partners",
                        "histogram_to_csv", "naive_partner_oracle", "search_radius", "stats_anisotropy"),
     "verification": ("VerificationReport", "check_proof_identity", "generate_family",

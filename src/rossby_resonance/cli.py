@@ -134,7 +134,7 @@ def _cmd_check(args) -> int:
 
     res = residual((args.n1, args.n2), (args.x, args.y))
     verdict = "resonant" if res == 0 else "not resonant"
-    print(f"{verdict}, residual {res}")
+    print(f"{verdict}, residual {res.numerator}/{res.denominator}")
     return 0
 
 

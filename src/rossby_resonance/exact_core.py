@@ -85,16 +85,6 @@ def sign_class(w) -> Wavenumber:
     return w if w.n1 > 0 else -w
 
 
-class QuarticPoly(NamedTuple):
-    """Integer coefficients of a4*y^4 + a3*y^3 + a2*y^2 + a1*y + a0."""
-
-    a4: int
-    a3: int
-    a2: int
-    a1: int
-    a0: int
-
-
 class _TriadFields(NamedTuple):
     a: Wavenumber
     b: Wavenumber
@@ -106,7 +96,8 @@ class ResonantTriad(_TriadFields):
 
     The members may be given in any order and either sign: the constructor
     sorts them and stores the lexicographically smaller of the sorted triple
-    and its sorted negation. Invariants, enforced at construction,
+    and its sorted negation; a resonant pair (n, k) gives the triad
+    ResonantTriad(k, n - k, -n). Invariants, enforced at construction,
     unpickling, _make and _replace: the members sum to (0, 0) componentwise,
     every member has a nonzero zonal component, and (-c, a) passes
     is_resonant. Hash and order are those of (a, b, c).
@@ -169,21 +160,9 @@ def is_resonant(n, k) -> bool:
     return num == 0
 
 
-def canonical_triad(n, k) -> ResonantTriad:
-    """Canonical triad {k, n-k, -n} for a resonant pair (n, k).
-
-    The result is independent of which member / partner combination it is
-    re-derived from. Raises ValueError when (n, k) is not resonant.
-    """
-    if not is_resonant(n, k):
-        raise ValueError(f"pair n={tuple(n)}, k={tuple(k)} is not resonant")
-    n = Wavenumber(*n)
-    k = Wavenumber(*k)
-    return ResonantTriad(k, n - k, -n)
-
-
-def quartic_coeffs(n, x: int) -> QuarticPoly:
-    """Integer quartic in y whose roots are the resonant partners (x, y) of n.
+def quartic_coeffs(n, x: int) -> tuple[int, int, int, int, int]:
+    """Integer coefficients (a4, a3, a2, a1, a0) of the quartic in y whose
+    roots are the resonant partners (x, y) of n.
 
     The polynomial is the cross-multiplied numerator of
     sigma(n) - sigma((x, y)) - sigma(n - (x, y)) for fixed admissible x:
@@ -199,7 +178,7 @@ def quartic_coeffs(n, x: int) -> QuarticPoly:
     n1, n2 = n
     _check_admissible(n1, x)
     u = n1 - x
-    return QuarticPoly(
+    return (
         n1,
         -2 * n2 * n1,
         -2 * x * u * n1,
@@ -300,7 +279,7 @@ def _integer_roots_between(coeffs: Iterable[int], lo: int, hi: int) -> list[int]
     return roots
 
 
-def integer_roots(p: QuarticPoly, bound: int) -> list[int]:
+def integer_roots(p: tuple[int, int, int, int, int], bound: int) -> list[int]:
     """All integers y with |y| <= bound and p(y) = 0, sorted ascending, for
     a quartic p = (a4, a3, a2, a1, a0) with a4 != 0. The coefficients and
     the bound must be ints (not bools or floats), so every evaluation is exact."""

@@ -370,10 +370,10 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     cells of the columns n1 < |x| <= N, resume to the same report: each
     holds at least the trimmed line, and those alone reach every triad.
     """
-    if max_norm < 1:
-        raise ValueError("max_norm must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if type(max_norm) is not int or max_norm < 1:
+        raise ValueError(f"max_norm must be an integer >= 1, got {max_norm!r}")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
     t0 = time.perf_counter()
     points = _quadrant_points(max_norm)

@@ -12,33 +12,19 @@ from fractions import Fraction
 from .exact_core import _check_admissible, _residual_numden
 
 
-class ReducedFraction(Fraction):
-    """Exact rational in lowest terms with denominator >= 1; zero is 0/1.
-
-    fractions.Fraction already keeps the reduced form; this subclass only
-    prints it as "numerator/denominator" even when the denominator is 1, so
-    that check prints a zero residual as 0/1.
-    """
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-def sigma(n) -> ReducedFraction:
+def sigma(n) -> Fraction:
     """Dispersion surrogate n1 / (n1^2 + n2^2) in lowest terms."""
     n1, n2 = n
     b = n1 * n1 + n2 * n2
     if b == 0:
         raise ValueError("sigma is undefined for the zero wavenumber")
-    return ReducedFraction(n1, b)
+    return Fraction(n1, b)
 
 
-def residual(n, k) -> ReducedFraction:
+def residual(n, k) -> Fraction:
     """sigma(n) - sigma(k) - sigma(n-k) as an exact reduced fraction."""
     n1, n2 = n
     x, y = k
     _check_admissible(n1, x)
     num, den = _residual_numden(n1, n2, x, y)
-    return ReducedFraction(num, den)
+    return Fraction(num, den)

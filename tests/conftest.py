@@ -54,8 +54,8 @@ def wrong_axis_quartic(monkeypatch):
     def wrong(n, x):
         assert n[1] == 0
         columns.append((n[0], x))
-        poly = real(n, x)
-        return poly._replace(a0=poly.a0 + 1) if x % 7 == 0 else poly
+        *poly, a0 = real(n, x)
+        return (*poly, a0 + 1) if x % 7 == 0 else (*poly, a0)
 
     monkeypatch.setattr(verification, "quartic_coeffs", wrong)
     return columns

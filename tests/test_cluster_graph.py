@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import gcd
 
 import pytest
 
@@ -98,6 +99,50 @@ class TestBuildComponents:
         comps = build_components(report.triads)
         rebuilt = build_components([t for c in comps for t in c.triads])
         assert rebuilt == comps
+
+
+# Eleven triads of one of the two largest box-995 clusters, a mirror pair of
+# 37 triads each; they close a cycle through the triad whose smallest member
+# is (195, -975). No triad is primitive, but the cycle is no multiple of a
+# smaller one: the gcd of all its components is 1.
+CYCLE_TRIADS = (
+    ((-1248, 156), (195, -975), (1053, 819)),
+    ((-1248, 156), (234, 858), (1014, -1014)),
+    ((-832, 104), (130, -650), (702, 546)),
+    ((-720, -300), (18, -246), (702, 546)),
+    ((-720, -300), (234, 858), (486, -558)),
+    ((-416, 52), (65, -325), (351, 273)),
+    ((-416, 52), (78, 286), (338, -338)),
+    ((-360, -150), (9, -123), (351, 273)),
+    ((-360, -150), (117, 429), (243, -279)),
+    ((-312, 546), (117, 429), (195, -975)),
+    ((-208, 364), (78, 286), (130, -650)),
+)
+
+
+class TestBergeCycle:
+    """The triads form one Berge cycle of the triad hypergraph on sign
+    classes: a hypertree of T triads spans 2T + 1 classes, so its cycle rank
+    2T + 1 - (sign classes) is 0, and this cluster's is 1."""
+
+    def test_each_triad_is_resonant(self):
+        # the constructor refuses a triple that is not resonant
+        for triple in CYCLE_TRIADS:
+            assert {sign_class(m) for m in ResonantTriad(*triple)} == {sign_class(m) for m in triple}
+
+    def test_each_triad_meets_two_others_in_one_class_each(self):
+        classes = [{sign_class(m) for m in _triad(t)} for t in CYCLE_TRIADS]
+        for i, own in enumerate(classes):
+            shared = [len(own & other) for j, other in enumerate(classes) if j != i]
+            assert sorted(c for c in shared if c) == [1, 1]
+
+    def test_one_connected_cluster_of_cycle_rank_one(self):
+        triads = [_triad(t) for t in CYCLE_TRIADS]
+        (cluster,) = build_components(triads)
+        assert cluster.triads == frozenset(triads)
+        assert len(cluster.members) == 22
+        assert 2 * len(triads) + 1 - len(cluster.members) == 1
+        assert gcd(*(c for t in CYCLE_TRIADS for m in t for c in m)) == 1
 
 
 class TestOrderClusters:

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import GOLDEN_TRIADS
 from rossby_resonance.exact_core import (
-    QuarticPoly,
     ResonantTriad,
     TrivialInteractionError,
     Wavenumber,
@@ -20,13 +19,12 @@ from rossby_resonance.exact_core import (
     _refine_floors,
     _residual_numden,
     _split_prime,
-    canonical_triad,
     gaussian_norm_solutions,
     integer_roots,
     is_resonant,
     quartic_coeffs,
 )
-from rossby_resonance.rational import ReducedFraction, residual, sigma
+from rossby_resonance.rational import residual, sigma
 
 
 class TestWavenumber:
@@ -66,14 +64,19 @@ class TestSigma:
             sigma((0, 0))
 
     def test_serialization_form(self):
-        assert str(sigma((0, 5))) == "0/1"
-        assert str(sigma((-16, -2))) == "-4/65"
+        # check prints numerator/denominator, so a zero is 0/1
+        for n, form in [((0, 5), (0, 1)), ((-16, -2), (-4, 65))]:
+            s = sigma(n)
+            assert type(s) is Fraction
+            assert (s.numerator, s.denominator) == form
 
     def test_reduced_fraction_invariants(self):
         import math
 
-        for num, den in [(4, -6), (0, 7), (-9, 3), (10, 4)]:
-            f = ReducedFraction(num, den)
+        # sigma and residual are in lowest terms with denominator >= 1
+        for f in (sigma((-2, 0)), sigma((4, -6)), sigma((0, 7)), sigma((-9, 3)),
+                  residual((2, 2), (1, 1)), residual((-4, 6), (2, 0)), residual((1, 11), (-8, 34))):
+            assert type(f) is Fraction
             assert f.denominator >= 1
             assert math.gcd(abs(f.numerator), f.denominator) == 1
 
@@ -109,13 +112,13 @@ class TestIsResonant:
 
 class TestResidual:
     def test_zero_for_resonant(self):
-        assert str(residual((1, 11), (-8, 34))) == "0/1"
-        assert str(residual((1, 8), (16, -2))) == "0/1"
+        assert residual((1, 11), (-8, 34)) == 0
+        assert residual((1, 8), (16, -2)) == 0
 
     def test_exact_value(self):
         r = residual((2, 2), (1, 1))
         assert r == Fraction(-3, 4)
-        assert str(r) == "-3/4"
+        assert (r.numerator, r.denominator) == (-3, 4)
 
     def test_zero_iff_resonant(self):
         rng = random.Random(7)
@@ -131,7 +134,8 @@ class TestResidual:
 
 class TestCanonicalTriad:
     def test_finite_cluster_triad(self):
-        t = canonical_triad((1, 11), (-8, 34))
+        # the pair n = (1, 11), k = (-8, 34) as {k, n - k, -n}
+        t = ResonantTriad((-8, 34), (9, -23), (-1, -11))
         assert t == (
             Wavenumber(-9, 23),
             Wavenumber(1, 11),
@@ -139,7 +143,8 @@ class TestCanonicalTriad:
         )
 
     def test_family_triad(self):
-        t = canonical_triad((1, 8), (16, -2))
+        # the pair n = (1, 8), k = (16, -2) as {k, n - k, -n}
+        t = ResonantTriad((16, -2), (-15, 10), (-1, -8))
         assert t == (
             Wavenumber(-16, 2),
             Wavenumber(1, 8),
@@ -147,21 +152,25 @@ class TestCanonicalTriad:
         )
 
     def test_rederivation_is_idempotent(self):
-        t = canonical_triad((1, 11), (-8, 34))
+        t = ResonantTriad((-8, 34), (9, -23), (-1, -11))
         for m in t:
-            others = [w for w in t if w != m]
-            # m appears in the triad, so -m decomposes into the other two
-            assert canonical_triad(-m, others[0]) == t
-            assert canonical_triad(-m, others[1]) == t
+            # m appears in the triad, so n = -m decomposes into the other two:
+            # each k of them gives the same triad {k, n - k, -n}
+            for k in (w for w in t if w != m):
+                assert ResonantTriad(k, -m - k, m) == t
 
     def test_scaling_homogeneity(self):
-        t1 = canonical_triad((1, 11), (-8, 34))
-        t2 = canonical_triad((2, 22), (-16, 68))
+        t1 = ResonantTriad((-8, 34), (9, -23), (-1, -11))
+        t2 = ResonantTriad((-16, 68), (18, -46), (-2, -22))
         assert t2 == tuple(2 * m for m in t1)
 
     def test_non_resonant_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_triad((2, 2), (1, 1))
+        # the triad {k, n - k, -n} of the pair n = (2, 2), k = (1, 1)
+        with pytest.raises(ValueError, match="not resonant"):
+            ResonantTriad((1, 1), (1, 1), (-2, -2))
+        # a zero zonal component, k = (0, 1) of n = (3, 1)
+        with pytest.raises(ValueError, match="nonzero zonal"):
+            ResonantTriad((0, 1), (3, 0), (-3, -1))
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -170,7 +179,7 @@ class TestCanonicalTriad:
         with pytest.raises(ValueError):
             ResonantTriad(Wavenumber(-2, 0), Wavenumber(1, 1), Wavenumber(1, -1))
         # members in another order, or negated, are put in canonical form
-        canonical = canonical_triad((1, 11), (-8, 34))
+        canonical = ResonantTriad((-8, 34), (9, -23), (-1, -11))
         assert ResonantTriad(Wavenumber(1, 11), Wavenumber(-9, 23), Wavenumber(8, -34)) == canonical
         assert ResonantTriad(Wavenumber(-8, 34), Wavenumber(-1, -11), Wavenumber(9, -23)) == canonical
 
@@ -184,7 +193,7 @@ class TestCanonicalTriad:
         assert list(set(triads)) == list(set(tuple(t) for t in triads))
 
     def test_pickle_round_trip_revalidates(self):
-        t = canonical_triad((1, 11), (-8, 34))
+        t = ResonantTriad((-8, 34), (9, -23), (-1, -11))
         # tuple.__new__ skips the checks; unpickling must run them again
         forged = tuple.__new__(ResonantTriad, (Wavenumber(1, 1), Wavenumber(2, 2), Wavenumber(-3, -3)))
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
@@ -194,7 +203,7 @@ class TestCanonicalTriad:
                 pickle.loads(pickle.dumps(forged, protocol))
 
     def test_make_and_replace_revalidate(self):
-        t = canonical_triad((1, 11), (-8, 34))
+        t = ResonantTriad((-8, 34), (9, -23), (-1, -11))
         assert ResonantTriad._make(iter(t)) == t
         assert t._replace(a=t.a) == t
         with pytest.raises(ValueError, match="sum to zero"):
@@ -205,7 +214,11 @@ class TestCanonicalTriad:
     @pytest.mark.parametrize("triple", GOLDEN_TRIADS)
     def test_constructor_accepts_any_order_and_sign(self, triple):
         p, q, r = triple
-        canonical = canonical_triad(-Wavenumber(*r), p)
+        # the pair n = -r, k = p as {k, n - k, -n}; its canonical form is the
+        # smaller of the sorted members and their sorted negations
+        canonical = ResonantTriad(p, -Wavenumber(*r) - p, r)
+        members = sorted(Wavenumber(*m) for m in triple)
+        assert canonical == min(tuple(members), tuple(sorted(-m for m in members)))
         built = {ResonantTriad(*(sign * Wavenumber(*m) for m in order))
                  for order in itertools.permutations(triple) for sign in (1, -1)}
         assert built == {canonical}
@@ -215,7 +228,7 @@ class TestCanonicalTriad:
 
 class TestQuarticCoeffs:
     def test_reference_coefficients(self):
-        assert quartic_coeffs((1, 8), 16) == QuarticPoly(1, -16, 480, 12544, 23024)
+        assert quartic_coeffs((1, 8), 16) == (1, -16, 480, 12544, 23024)
 
     def test_known_root_matches_predicate(self):
         poly = quartic_coeffs((1, 8), 16)
@@ -224,9 +237,9 @@ class TestQuarticCoeffs:
 
     @pytest.mark.parametrize("x", [-5, -1, 2, 3, 17])
     def test_zonal_wavenumber_constant_term(self, x):
-        poly = quartic_coeffs((1, 0), x)
-        assert poly.a3 == poly.a1 == 0
-        assert poly.a0 == -x * (1 - x) * (x * x - x + 1)
+        _, a3, _, a1, a0 = quartic_coeffs((1, 0), x)
+        assert a3 == a1 == 0
+        assert a0 == -x * (1 - x) * (x * x - x + 1)
 
     def test_matches_residual_numerator(self):
         rng = random.Random(11)
@@ -271,21 +284,21 @@ def _scan_roots(poly, bound):
 
 class TestIntegerRoots:
     def test_reference_quartic(self):
-        poly = QuarticPoly(1, -16, 480, 12544, 23024)
+        poly = (1, -16, 480, 12544, 23024)
         assert integer_roots(poly, 100) == _scan_roots(poly, 100) == [-2]
 
     def test_root_outside_bound(self):
-        assert integer_roots(QuarticPoly(1, -16, 480, 12544, 23024), 1) == []
+        assert integer_roots((1, -16, 480, 12544, 23024), 1) == []
 
     def test_quadruple_root_at_zero(self):
-        assert integer_roots(QuarticPoly(1, 0, 0, 0, 0), 5) == [0]
+        assert integer_roots((1, 0, 0, 0, 0), 5) == [0]
 
     def test_repeated_and_mixed_roots(self):
         # (y - 3)^2 (y + 1)(y + 7) = y^4 + 2y^3 - 32y^2 + 30y + 63
-        poly = QuarticPoly(1, 2, -32, 30, 63)
+        poly = (1, 2, -32, 30, 63)
         assert integer_roots(poly, 10) == [-7, -1, 3]
         # (y - 2)^2 (y + 5)^2 = y^4 + 6y^3 - 11y^2 - 60y + 100
-        poly = QuarticPoly(1, 6, -11, -60, 100)
+        poly = (1, 6, -11, -60, 100)
         assert integer_roots(poly, 10) == [-5, 2]
 
     def test_degenerate_leading_coefficients(self):
@@ -298,17 +311,17 @@ class TestIntegerRoots:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            integer_roots(QuarticPoly(0, 0, 0, 0, 0), 3)
+            integer_roots((0, 0, 0, 0, 0), 3)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
-            integer_roots(QuarticPoly(1, 0, 0, 0, 0), -1)
+            integer_roots((1, 0, 0, 0, 0), -1)
 
     def test_non_int_arguments_rejected(self):
         # a float coefficient or bound would be evaluated in floating point:
         # -2.0**64 - 1.0 rounds to -2**64, whose quartic has the roots
         # -+65536, although the int quartic below has no integer root
-        assert integer_roots(QuarticPoly(1, 0, 0, 0, -(2**64 + 1)), 70000) == []
+        assert integer_roots((1, 0, 0, 0, -(2**64 + 1)), 70000) == []
         for p, bound, named in (
             ((1, 0, 0, 0, -2.0**64 - 1.0), 70000, "takes p "),
             ((1.0, 0, 0, 0, -16), 5, "takes p "),
@@ -323,7 +336,7 @@ class TestIntegerRoots:
         rng = random.Random(5)
         for _ in range(400):
             lead = rng.choice([c for c in range(-9, 10) if c])
-            poly = QuarticPoly(lead, *(rng.randint(-9, 9) for _ in range(4)))
+            poly = (lead, *(rng.randint(-9, 9) for _ in range(4)))
             bound = rng.randint(0, 60)
             assert integer_roots(poly, bound) == _scan_roots(poly, bound)
 
@@ -338,7 +351,7 @@ class TestIntegerRoots:
                 p = p + [0]
                 for i in range(len(p) - 1, 0, -1):
                     p[i] -= r * p[i - 1]
-            poly = QuarticPoly(*p)
+            poly = tuple(p)
             expected = sorted({r1, r2, 0})
             assert integer_roots(poly, 40) == expected
 

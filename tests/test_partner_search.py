@@ -13,7 +13,6 @@ from rossby_resonance.exact_core import (
     _factor,
     _integer_roots_between,
     _norm_hits,
-    canonical_triad,
     quartic_coeffs,
 )
 from rossby_resonance.partner_search import (
@@ -62,14 +61,14 @@ def _uncapped_partners(n):
 def _full_source_triads(n):
     """The canonical triads of every partner of n, as the enumeration found
     them when each source ran the whole of find_partners."""
-    return sorted({canonical_triad(n, k) for k in find_partners(n)})
+    return sorted({ResonantTriad(k, n - k, -n) for k in find_partners(n)})
 
 
 def _trimmed_source_triads(n, max_norm):
     """The canonical triads of n as the enumeration found them when each
     source trimmed the in-box cells of its columns n1 < |x| <= max_norm."""
     hits = _column_hits(n, _outer_columns(n))
-    return sorted({canonical_triad(n, k) for k in hits
+    return sorted({ResonantTriad(k, n - k, -n) for k in hits
                    if -k.n1 <= n.n1 or k.norm2() > max_norm * max_norm})
 
 
@@ -327,6 +326,17 @@ class TestEnumerateLambda:
         with pytest.raises(ValueError):
             enumerate_lambda(5, jobs=0)
 
+    @pytest.mark.parametrize("max_norm, jobs, named", [
+        (2.5, 1, "max_norm"), (True, 1, "max_norm"), ("5", 1, "max_norm"),
+        (40, 1.5, "jobs"), (5, True, "jobs"), (5, "2", "jobs"),
+    ])
+    def test_non_int_arguments_rejected_before_any_work(self, tmp_path, max_norm, jobs, named):
+        # a bool or float is refused before the cache opens, so no file is left
+        cache = tmp_path / "cache.jsonl"
+        with pytest.raises(ValueError, match=f"^{named} must be an integer >= 1, got "):
+            enumerate_lambda(max_norm, jobs=jobs, cache_path=cache)
+        assert not cache.exists()
+
     def test_parallel_runs_identical(self):
         serial = enumerate_lambda(14, jobs=1)
         parallel = enumerate_lambda(14, jobs=3)
@@ -414,6 +424,14 @@ class TestJsonl:
         report, _ = report60
         body = report_to_jsonl(report)
         assert hashlib.sha256(body.encode()).hexdigest() == BOX60_JSONL_SHA256
+
+    def test_box60_cut_to_box35_is_the_box35_result(self, report60):
+        # the box-N result is every triad with a member |m| <= N, so a larger
+        # box's triads whose smallest member lies in box 35 are box 35's
+        report, _ = report60
+        cut = [t for t in report.triads if min(m.norm2() for m in t) <= 35 * 35]
+        body = report_to_jsonl(report_from_triads(35, cut))
+        assert hashlib.sha256(body.encode()).hexdigest() == BOX35_JSONL_SHA256
 
     def test_header_and_sorted_records(self, report12):
         body = report_to_jsonl(report12)

@@ -26,10 +26,9 @@ SRC = str(Path(rossby_resonance.__file__).resolve().parent.parent)
 HOMES = {
     "cluster_graph": ["NO_SCALING_DETECTED", "SCALING_FAMILY_DETECTED", "Cluster",
                       "build_components", "flag_scaling", "order_clusters"],
-    "exact_core": ["QuarticPoly", "ResonantTriad", "TrivialInteractionError", "Wavenumber",
-                   "canonical_triad", "integer_roots", "is_resonant", "quartic_coeffs",
-                   "sign_class"],
-    "rational": ["ReducedFraction", "residual", "sigma"],
+    "exact_core": ["ResonantTriad", "TrivialInteractionError", "Wavenumber", "integer_roots",
+                   "is_resonant", "quartic_coeffs", "sign_class"],
+    "rational": ["residual", "sigma"],
     "partner_search": ["AngularHistogram", "EnumerationReport", "enumerate_lambda",
                        "find_partners", "histogram_to_csv", "naive_partner_oracle",
                        "search_radius", "stats_anisotropy"],
@@ -122,7 +121,7 @@ class TestLazySurface:
     def test_pickle_round_trip_after_package_import_only(self):
         script = (
             "import pickle, sys, rossby_resonance as rr\n"
-            "objs = (rr.ResonantTriad((1, 11), (8, -34), (-9, 23)), rr.ReducedFraction(-11, 610))\n"
+            "objs = (rr.ResonantTriad((1, 11), (8, -34), (-9, 23)), rr.sigma((-9, 23)))\n"
             "back = pickle.loads(pickle.dumps(objs))\n"
             "assert back == objs and [type(b) for b in back] == [type(o) for o in objs], back\n"
             "sys.stdout.write(pickle.dumps(objs).hex())\n"
@@ -130,6 +129,5 @@ class TestLazySurface:
         triad, frac = pickle.loads(bytes.fromhex(_fresh(script)))
         assert type(triad) is rossby_resonance.ResonantTriad
         assert triad == rossby_resonance.ResonantTriad((1, 11), (8, -34), (-9, 23))
-        assert type(frac) is rossby_resonance.ReducedFraction
-        assert isinstance(frac, fractions.Fraction)
-        assert (frac.numerator, frac.denominator, str(frac)) == (-11, 610, "-11/610")
+        assert type(frac) is fractions.Fraction
+        assert (frac.numerator, frac.denominator) == (-9, 610)
