@@ -1,7 +1,8 @@
 """Exact search, clustering and verification of resonant Rossby-wave triads.
 
-Everything verdict-bearing runs in exact integer or rational arithmetic;
-floating point appears only in presentation-layer statistics.
+Everything verdict-bearing runs in exact integer arithmetic, and the
+printed sigma and residual values are exact fractions; floating point
+appears only in presentation-layer statistics.
 
 Importing the package loads none of its modules: each public name below is
 loaded from its home module at its first use (PEP 562), so a command line
@@ -12,8 +13,7 @@ _HOMES = {
     "cluster_graph": ("NO_SCALING_DETECTED", "SCALING_FAMILY_DETECTED", "Cluster", "build_components",
                       "flag_scaling", "order_clusters"),
     "exact_core": ("ResonantTriad", "TrivialInteractionError", "Wavenumber", "integer_roots",
-                   "is_resonant", "quartic_coeffs", "sign_class"),
-    "rational": ("residual", "sigma"),
+                   "is_resonant", "quartic_coeffs", "residual", "sigma", "sign_class"),
     "partner_search": ("AngularHistogram", "EnumerationReport", "enumerate_lambda", "find_partners",
                        "histogram_to_csv", "naive_partner_oracle", "search_radius", "stats_anisotropy"),
     "verification": ("VerificationReport", "check_proof_identity", "generate_family",

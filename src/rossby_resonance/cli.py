@@ -130,7 +130,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    from .rational import residual
+    from .exact_core import residual
 
     res = residual((args.n1, args.n2), (args.x, args.y))
     verdict = "resonant" if res == 0 else "not resonant"

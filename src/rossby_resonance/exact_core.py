@@ -22,16 +22,21 @@ it is the oracle that tests compare the partner search and the axis
 verifier with.
 
 No floating point appears anywhere on a verdict path, and no rational
-either: the kernel is integer-only and imports no fractions. The exact
-values of sigma and of the residual, which only the check command prints,
-are in the rational module.
+either: every verdict is decided in integers. Only the two values that the
+check command prints, sigma and residual, are fractions.Fraction; each
+imports fractions in its body, so importing this module loads none. The
+entry points take ints only: a bool or a float raises ValueError, from
+_check_ints or, with its own message, from integer_roots.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class TrivialInteractionError(ValueError):
@@ -80,6 +85,7 @@ def sign_class(w) -> Wavenumber:
     sigma is odd in n, so w resonates exactly when -w does.
     """
     w = Wavenumber(*w)
+    _check_ints("w", *w)
     if w.n1 == 0:
         raise ValueError("sign-classes require a nonzero zonal component")
     return w if w.n1 > 0 else -w
@@ -124,7 +130,22 @@ class ResonantTriad(_TriadFields):
         return ResonantTriad(*(m.mirror() for m in self))
 
 
-def _check_admissible(n1: int, x: int) -> None:
+def _check_ints(name: str, *values) -> None:
+    """The kernel's argument guard: ValueError naming the argument unless
+    every value is an int. A bool or a float would give a verdict or a
+    value that no integer input has."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{name} takes ints, not {type(v).__name__}: got {v!r}")
+
+
+def _check_admissible(n1: int, n2: int, x: int, y: int = 0, k: str = "k") -> None:
+    """Refuse a pair (n, k = (x, y)), or a column x of n (then k = "x"),
+    that is not made of ints (_check_ints) or is a trivial interaction.
+    The inline test spares the per-column quartic_coeffs a guard call."""
+    if not type(n1) is type(n2) is type(x) is type(y) is int:
+        _check_ints("n", n1, n2)
+        _check_ints(k, x, y)
     if n1 == 0:
         raise TrivialInteractionError("n1")
     if x == 0:
@@ -155,9 +176,32 @@ def is_resonant(n, k) -> bool:
     """
     n1, n2 = n
     x, y = k
-    _check_admissible(n1, x)
+    _check_admissible(n1, n2, x, y)
     num, _ = _residual_numden(n1, n2, x, y)
     return num == 0
+
+
+def sigma(n) -> Fraction:
+    """Dispersion surrogate n1 / (n1^2 + n2^2) in lowest terms."""
+    from fractions import Fraction
+
+    n1, n2 = n
+    _check_ints("n", n1, n2)
+    b = n1 * n1 + n2 * n2
+    if b == 0:
+        raise ValueError("sigma is undefined for the zero wavenumber")
+    return Fraction(n1, b)
+
+
+def residual(n, k) -> Fraction:
+    """sigma(n) - sigma(k) - sigma(n-k) as an exact reduced fraction."""
+    from fractions import Fraction
+
+    n1, n2 = n
+    x, y = k
+    _check_admissible(n1, n2, x, y)
+    num, den = _residual_numden(n1, n2, x, y)
+    return Fraction(num, den)
 
 
 def quartic_coeffs(n, x: int) -> tuple[int, int, int, int, int]:
@@ -176,7 +220,7 @@ def quartic_coeffs(n, x: int) -> tuple[int, int, int, int, int]:
     For every integer y the polynomial vanishes at y iff is_resonant(n, (x, y)).
     """
     n1, n2 = n
-    _check_admissible(n1, x)
+    _check_admissible(n1, n2, x, k="x")
     u = n1 - x
     return (
         n1,

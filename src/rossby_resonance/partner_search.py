@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
+    _check_ints,
     _integer_roots_between,
     is_resonant,
     quartic_coeffs,
@@ -88,6 +89,7 @@ def search_radius(n) -> int:
     """ceil(2 |n|^2 / |n1|): inclusive Euclidean bound on the smaller leg of
     any decomposition of n."""
     n1, n2 = n
+    _check_ints("n", n1, n2)
     if n1 == 0:
         raise ValueError("partner search requires a nonzero zonal component")
     b = n1 * n1 + n2 * n2
@@ -210,6 +212,7 @@ def find_partners(n) -> list[Wavenumber]:
     test_criterion_6_oracle_equivalence and TestFindPartners.
     """
     n1, n2 = n
+    _check_ints("n", n1, n2)
     if n1 == 0:
         raise ValueError("partner search requires a nonzero zonal component")
     if n1 < 0:

@@ -23,7 +23,7 @@ import time
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .exact_core import ResonantTriad, Wavenumber, quartic_coeffs
+from .exact_core import ResonantTriad, Wavenumber, _check_ints, quartic_coeffs
 
 
 class VerificationReport(NamedTuple):
@@ -164,6 +164,7 @@ def verify_axis_theorem(n1_max: int) -> VerificationReport:
     1969); it implies the claim for every n1, and this sweep checks the
     claim up to n1_max without assuming it.
     """
+    _check_ints("n1_max", n1_max)
     if n1_max < 1:
         raise ValueError("n1_max must be >= 1")
     t0 = time.perf_counter()

@@ -23,8 +23,12 @@ from rossby_resonance.exact_core import (
     integer_roots,
     is_resonant,
     quartic_coeffs,
+    residual,
+    sigma,
+    sign_class,
 )
-from rossby_resonance.rational import residual, sigma
+from rossby_resonance.partner_search import find_partners, search_radius
+from rossby_resonance.verification import verify_axis_theorem
 
 
 class TestWavenumber:
@@ -276,6 +280,38 @@ class TestQuarticCoeffs:
             quartic_coeffs((3, 1), 0)
         with pytest.raises(TrivialInteractionError):
             quartic_coeffs((3, 1), 3)
+
+
+# Each entry point that takes wavenumbers or a bound, called with a float
+# and with a bool component, and the argument its ValueError names. Left
+# unchecked, such a call gives a verdict or a value that no int input has
+# (True for is_resonant((1.0, 11.0), (-8.0, 34.0)), 1 for sigma((True, 0)))
+# or a TypeError from deep inside (range, fractions).
+NON_INT_CALLS = [
+    ("float", is_resonant, ((1.0, 11.0), (-8.0, 34.0)), "n"),
+    ("bool", is_resonant, ((True, 11), (-8, 34)), "n"),
+    ("float", residual, ((1.5, 2), (1, 1)), "n"),
+    ("bool", residual, ((1, 11), (-8, True)), "k"),
+    ("float", sigma, ((1, 11.0),), "n"),
+    ("bool", sigma, ((True, 0),), "n"),
+    ("float", quartic_coeffs, ((1.0, 11), -8), "n"),
+    ("bool", quartic_coeffs, ((1, 11), True), "x"),
+    ("float", sign_class, ((-1.5, 2),), "w"),
+    ("bool", sign_class, ((True, 2),), "w"),
+    ("float", search_radius, ((1.5, 2),), "n"),
+    ("bool", search_radius, ((1, False),), "n"),
+    ("float", find_partners, ((1.0, 11.0),), "n"),
+    ("bool", find_partners, ((True, 11),), "n"),
+    ("float", verify_axis_theorem, (10.5,), "n1_max"),
+    ("bool", verify_axis_theorem, (True,), "n1_max"),
+]
+
+
+@pytest.mark.parametrize("kind, func, args, name", NON_INT_CALLS,
+                         ids=[f"{c[1].__name__}-{c[0]}" for c in NON_INT_CALLS])
+def test_entry_point_refuses_float_and_bool(kind, func, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} takes ints, not {kind}: got "):
+        func(*args)
 
 
 def _scan_roots(poly, bound):

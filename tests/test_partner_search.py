@@ -141,6 +141,8 @@ class TestFindPartners:
         assert sum(1 for n in _quadrant_points(20) for _ in _partner_columns(n)) == 4500
         assert sum(1 for _ in _partner_columns((1, 60))) == 464
         assert sum(1 for n in _quadrant_points(20) for _ in _outer_columns(n)) == 3374
+        # the box-35 search of the benchmark's box-sweep
+        assert sum(1 for n in _quadrant_points(35) for _ in _outer_columns(n)) == 19808
 
     def test_parity_rules_out_odd_columns(self):
         # n1 even, n2 odd, x odd: a4..a1 even and a0 odd, so no integer root

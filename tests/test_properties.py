@@ -42,8 +42,9 @@ from rossby_resonance.exact_core import (
     integer_roots,
     is_resonant,
     quartic_coeffs,
+    residual,
+    sigma,
 )
-from rossby_resonance.rational import residual, sigma
 
 N1 = range(1, 8)
 X = range(-1, -8, -1)

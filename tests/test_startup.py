@@ -27,8 +27,7 @@ HOMES = {
     "cluster_graph": ["NO_SCALING_DETECTED", "SCALING_FAMILY_DETECTED", "Cluster",
                       "build_components", "flag_scaling", "order_clusters"],
     "exact_core": ["ResonantTriad", "TrivialInteractionError", "Wavenumber", "integer_roots",
-                   "is_resonant", "quartic_coeffs", "sign_class"],
-    "rational": ["residual", "sigma"],
+                   "is_resonant", "quartic_coeffs", "residual", "sigma", "sign_class"],
     "partner_search": ["AngularHistogram", "EnumerationReport", "enumerate_lambda",
                        "find_partners", "histogram_to_csv", "naive_partner_oracle",
                        "search_radius", "stats_anisotropy"],
@@ -60,7 +59,7 @@ FOOTPRINT = (
 SEARCH = ["cli", "exact_core", "partner_search"]
 VERIFY = ["cli", "exact_core", "verification"]
 FOOTPRINTS = [
-    (["check", "1", "11", "-8", "34"], ["cli", "exact_core", "rational"], ["fractions"]),
+    (["check", "1", "11", "-8", "34"], ["cli", "exact_core"], ["fractions"]),
     (["partners", "1", "11"], SEARCH, []),
     (["enumerate", "--max-norm", "20", "--jobs", "2"], SEARCH, ["json"]),
     (["stats", "--in", "A"], SEARCH, ["json"]),
@@ -93,6 +92,11 @@ class TestLazySurface:
     def test_package_import_loads_no_submodule(self):
         script = "import sys, rossby_resonance; print([m for m in sys.modules if m.startswith('rossby_resonance.')])"
         assert _fresh(script) == "[]\n"
+
+    def test_kernel_import_loads_no_fractions(self):
+        # sigma and residual import fractions in their bodies
+        script = "import sys, rossby_resonance.exact_core; print('fractions' in sys.modules)"
+        assert _fresh(script) == "False\n"
 
     def test_every_export_is_its_home_module_object(self):
         assert sorted(rossby_resonance.__all__) == sorted(n for names in HOMES.values() for n in names)
