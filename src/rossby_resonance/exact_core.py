@@ -25,8 +25,10 @@ No floating point appears anywhere on a verdict path, and no rational
 either: every verdict is decided in integers. Only the two values that the
 check command prints, sigma and residual, are fractions.Fraction; each
 imports fractions in its body, so importing this module loads none. The
-entry points take ints only: a bool or a float raises ValueError, from
-_check_ints or, with its own message, from integer_roots.
+entry points take ints only: anything else raises ValueError naming the
+argument. A wavenumber component goes through _check_ints,
+"n takes ints, not float: got 1.0", and a count or bound through
+_check_count, "max_norm must be an integer >= 1, got True".
 """
 
 from __future__ import annotations
@@ -131,12 +133,28 @@ class ResonantTriad(_TriadFields):
 
 
 def _check_ints(name: str, *values) -> None:
-    """The kernel's argument guard: ValueError naming the argument unless
-    every value is an int. A bool or a float would give a verdict or a
-    value that no integer input has."""
+    """The guard for wavenumber components and a seed: ValueError naming the
+    argument unless every value is an int. A bool or a float would give a
+    verdict or a value that no integer input has."""
     for v in values:
         if type(v) is not int:
             raise ValueError(f"{name} takes ints, not {type(v).__name__}: got {v!r}")
+
+
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """The guard for a count or bound: ValueError naming the argument unless
+    value is an int, not a bool, and at least minimum."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_source(n) -> tuple[int, int]:
+    """The components (n1, n2) of a partner-search source n: ints, n1 != 0."""
+    n1, n2 = n
+    _check_ints("n", n1, n2)
+    if n1 == 0:
+        raise ValueError("partner search requires a nonzero zonal component")
+    return n1, n2
 
 
 def _check_admissible(n1: int, n2: int, x: int, y: int = 0, k: str = "k") -> None:
@@ -330,15 +348,13 @@ def integer_roots(p: tuple[int, int, int, int, int], bound: int) -> list[int]:
     ints = len(p) == 5 and type(p[0]) is type(p[1]) is type(p[2]) is type(p[3]) is type(p[4]) is int
     if not ints or not p[0]:
         raise ValueError(f"integer_roots takes p = (a4, ..., a0), five ints with a4 != 0, got {p!r}")
-    if type(bound) is not int or bound < 0:
-        raise ValueError(f"integer_roots takes an int bound >= 0, got {bound!r}")
+    _check_count("bound", bound, 0)
     return _integer_roots_between(p, -bound, bound)
 
 
 def _factor(m: int) -> dict[int, int]:
     """Prime factorisation {p: e} of m >= 1 by trial division."""
-    if m < 1:
-        raise ValueError("only integers >= 1 are factored")
+    _check_count("m", m)
     factors: dict[int, int] = {}
     p = 2
     while p * p <= m:
@@ -454,9 +470,7 @@ def _norm_hits(n, factors_of_b) -> Iterator[Wavenumber]:
     columns x = 0 and x = n1 are skipped, and every hit is confirmed with
     is_resonant.
     """
-    n1, n2 = n
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
+    n1, n2 = _check_source(n)
     factors = {p: 3 * e for p, e in factors_of_b.items()}
     factors[2] = factors.get(2, 0) + 2
     m1, m2 = n1 * (n1 * n1 + 3 * n2 * n2), 2 * n2**3  # n (2b - n1 n)

@@ -43,7 +43,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .exact_core import (
     ResonantTriad,
     Wavenumber,
-    _check_ints,
+    _check_count,
+    _check_source,
     _integer_roots_between,
     is_resonant,
     quartic_coeffs,
@@ -88,10 +89,7 @@ class EnumerationReport(NamedTuple):
 def search_radius(n) -> int:
     """ceil(2 |n|^2 / |n1|): inclusive Euclidean bound on the smaller leg of
     any decomposition of n."""
-    n1, n2 = n
-    _check_ints("n", n1, n2)
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
+    n1, n2 = _check_source(n)
     b = n1 * n1 + n2 * n2
     return -((-2 * b) // abs(n1))
 
@@ -211,10 +209,7 @@ def find_partners(n) -> list[Wavenumber]:
     partner; naive_partner_oracle checks the search in
     test_criterion_6_oracle_equivalence and TestFindPartners.
     """
-    n1, n2 = n
-    _check_ints("n", n1, n2)
-    if n1 == 0:
-        raise ValueError("partner search requires a nonzero zonal component")
+    n1, n2 = _check_source(n)
     if n1 < 0:
         return sorted(-k for k in find_partners((-n1, -n2)))
     n = Wavenumber(n1, n2)
@@ -373,10 +368,8 @@ def enumerate_lambda(max_norm: int, jobs: int = 1, cache_path=None) -> Enumerati
     cells of the columns n1 < |x| <= N, resume to the same report: each
     holds at least the trimmed line, and those alone reach every triad.
     """
-    if type(max_norm) is not int or max_norm < 1:
-        raise ValueError(f"max_norm must be an integer >= 1, got {max_norm!r}")
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    _check_count("max_norm", max_norm)
+    _check_count("jobs", jobs)
 
     t0 = time.perf_counter()
     points = _quadrant_points(max_norm)
@@ -539,8 +532,7 @@ def report_from_triads(max_norm: int, triads: Iterable[ResonantTriad]) -> Enumer
     box is not a result of the box and raises ValueError, and so does a
     max_norm that is not an integer >= 1.
     """
-    if type(max_norm) is not int or max_norm < 1:
-        raise ValueError(f"max_norm must be an integer >= 1, got {max_norm!r}")
+    _check_count("max_norm", max_norm)
     triad_set = frozenset(triads)
     m2 = max_norm * max_norm
     members: set[Wavenumber] = set()
@@ -581,8 +573,9 @@ def stats_anisotropy(report: EnumerationReport, bins: int) -> AngularHistogram:
     around both axes. Angles are floating point for binning only; no verdict
     depends on them.
     """
-    if bins < 4 or bins % 2 != 0:
-        raise ValueError("bins must be an even number >= 4")
+    _check_count("bins", bins, 4)
+    if bins % 2:
+        raise ValueError(f"bins must be an even number >= 4, got {bins}")
     counts = [0] * bins
     axis_count = 0
     width = 2.0 * pi / bins

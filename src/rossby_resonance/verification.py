@@ -23,7 +23,7 @@ import time
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .exact_core import ResonantTriad, Wavenumber, _check_ints, quartic_coeffs
+from .exact_core import ResonantTriad, Wavenumber, _check_count, _check_ints, quartic_coeffs
 
 
 class VerificationReport(NamedTuple):
@@ -115,8 +115,7 @@ def verify_diophantine_lemma(b_max: int) -> VerificationReport:
     exactly when that one is, and each coprime solution of
     _coprime_lemma_solutions is reported with all its multiples d.
     """
-    if b_max < 1:
-        raise ValueError("b_max must be >= 1")
+    _check_count("b_max", b_max)
     t0 = time.perf_counter()
     counterexamples = [
         (d * x, d * y, d * d * r)
@@ -164,9 +163,7 @@ def verify_axis_theorem(n1_max: int) -> VerificationReport:
     1969); it implies the claim for every n1, and this sweep checks the
     claim up to n1_max without assuming it.
     """
-    _check_ints("n1_max", n1_max)
-    if n1_max < 1:
-        raise ValueError("n1_max must be >= 1")
+    _check_count("n1_max", n1_max)
     t0 = time.perf_counter()
     counterexamples = [
         (g * (x**4 + y**4), g * leg, sign * g * x * y * r)
@@ -190,8 +187,8 @@ def _family_triads(m_max: int, l_max: int) -> Iterator[tuple[Wavenumber, Resonan
     exactly (test_family_is_resonant), so no member is tested here; the
     ResonantTriad constructor still refuses a pair that is not resonant.
     """
-    if m_max < 1 or l_max < 1:
-        raise ValueError("m_max and l_max must be >= 1")
+    _check_count("m_max", m_max)
+    _check_count("l_max", l_max)
     for m in range(1, m_max + 1):
         for l in range(1, l_max + 1):
             if m == l:
@@ -221,10 +218,9 @@ def check_proof_identity(sample_count: int, bound: int, seed: int = 0) -> Verifi
     Comparing the five coefficients of quartic_coeffs((n1, 0), x) with these
     decides a column for every y at once; a mismatch is reported as (n1, x).
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_count("sample_count", sample_count)
+    _check_count("bound", bound, 2)
+    _check_ints("seed", seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     counterexamples = []

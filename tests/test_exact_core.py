@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,20 @@ from rossby_resonance.exact_core import (
     sigma,
     sign_class,
 )
-from rossby_resonance.partner_search import find_partners, search_radius
-from rossby_resonance.verification import verify_axis_theorem
+from rossby_resonance.partner_search import (
+    enumerate_lambda,
+    family_to_jsonl,
+    find_partners,
+    report_from_triads,
+    search_radius,
+    stats_anisotropy,
+)
+from rossby_resonance.verification import (
+    check_proof_identity,
+    generate_family,
+    verify_axis_theorem,
+    verify_diophantine_lemma,
+)
 
 
 class TestWavenumber:
@@ -282,11 +295,12 @@ class TestQuarticCoeffs:
             quartic_coeffs((3, 1), 3)
 
 
-# Each entry point that takes wavenumbers or a bound, called with a float
-# and with a bool component, and the argument its ValueError names. Left
-# unchecked, such a call gives a verdict or a value that no int input has
-# (True for is_resonant((1.0, 11.0), (-8.0, 34.0)), 1 for sigma((True, 0)))
-# or a TypeError from deep inside (range, fractions).
+# Each entry point that takes wavenumbers or a seed, called with a float
+# and with a bool component (the seed also with a str), and the argument its
+# ValueError names. Left unchecked, such a call gives a verdict or a value
+# that no int input has (True for is_resonant((1.0, 11.0), (-8.0, 34.0)), 1
+# for sigma((True, 0)), "seed": true in a verify-identity report) or a
+# TypeError from deep inside (range, fractions).
 NON_INT_CALLS = [
     ("float", is_resonant, ((1.0, 11.0), (-8.0, 34.0)), "n"),
     ("bool", is_resonant, ((True, 11), (-8, 34)), "n"),
@@ -302,8 +316,9 @@ NON_INT_CALLS = [
     ("bool", search_radius, ((1, False),), "n"),
     ("float", find_partners, ((1.0, 11.0),), "n"),
     ("bool", find_partners, ((True, 11),), "n"),
-    ("float", verify_axis_theorem, (10.5,), "n1_max"),
-    ("bool", verify_axis_theorem, (True,), "n1_max"),
+    ("float", check_proof_identity, (10, 100, 1.5), "seed"),
+    ("bool", check_proof_identity, (10, 100, True), "seed"),
+    ("str", check_proof_identity, (10, 100, "x"), "seed"),
 ]
 
 
@@ -312,6 +327,46 @@ NON_INT_CALLS = [
 def test_entry_point_refuses_float_and_bool(kind, func, args, name):
     with pytest.raises(ValueError, match=rf"^{name} takes ints, not {kind}: got "):
         func(*args)
+
+
+# Every count or bound of the library: the function, its arguments with the
+# guarded one set to v, the argument's name, its minimum and a valid value.
+# Each refuses a bool, the valid value as a float and as a str, and
+# minimum - 1, with one message, before any work. Unguarded, a float that
+# equals a valid value ran (check_proof_identity(10, 100.0) reported
+# "bound": 100.0) or failed deep inside (stats_anisotropy(report, 4.0)), and
+# a bool ran as 1 (verify_diophantine_lemma(True), generate_family(True, 2)).
+GUARDED_COUNTS = [
+    (enumerate_lambda, lambda v: (v,), "max_norm", 1, 5),
+    (enumerate_lambda, lambda v: (5, v), "jobs", 1, 1),
+    (report_from_triads, lambda v: (v, []), "max_norm", 1, 5),
+    (verify_diophantine_lemma, lambda v: (v,), "b_max", 1, 10),
+    (verify_axis_theorem, lambda v: (v,), "n1_max", 1, 10),
+    (generate_family, lambda v: (v, 2), "m_max", 1, 2),
+    (generate_family, lambda v: (2, v), "l_max", 1, 2),
+    (family_to_jsonl, lambda v: (v, 2), "m_max", 1, 2),
+    (family_to_jsonl, lambda v: (2, v), "l_max", 1, 2),
+    (check_proof_identity, lambda v: (v, 100), "sample_count", 1, 10),
+    (check_proof_identity, lambda v: (10, v), "bound", 2, 100),
+    (stats_anisotropy, lambda v: (report_from_triads(5, []), v), "bins", 4, 4),
+    (integer_roots, lambda v: ((1, 0, 0, 0, -16), v), "bound", 0, 5),
+]
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "str", "below"])
+@pytest.mark.parametrize("func, args, name, minimum, valid", GUARDED_COUNTS,
+                         ids=[f"{c[0].__name__}-{c[2]}" for c in GUARDED_COUNTS])
+def test_count_refuses_bool_float_str_and_below_minimum(tmp_path, func, args, name, minimum,
+                                                        valid, kind):
+    func(*args(valid))  # the valid value runs, so each refusal below is the guard's
+    value = {"bool": True, "float": float(valid), "str": str(valid), "below": minimum - 1}[kind]
+    # enumerate_lambda checks its counts before it opens the cache
+    cache = tmp_path / "cache.jsonl"
+    kwargs = {"cache_path": cache} if func is enumerate_lambda else {}
+    message = rf"^{name} must be an integer >= {minimum}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        func(*args(value), **kwargs)
+    assert not cache.exists()
 
 
 def _scan_roots(poly, bound):
